@@ -13,23 +13,13 @@ int main(int argc, char** argv) {
   using namespace idivm;
   using namespace idivm::bench;
 
-  BenchFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    if (!flags.Match(argc, argv, &i)) {
-      FlagError(argv[i],
-                "is not recognized (supported: --engine "
-                "{interpret,compiled}, --trace-out PATH, --metrics-out "
-                "PATH)");
-    }
-  }
-  flags.Install();
+  ObsFlags obs = ParseObsOnlyFlags(argc, argv);
 
   DevicesPartsConfig config;
   PrintHeader("Section 7.3: idIVM vs Simulated DBToaster, varying diff size",
               "d");
   for (int64_t d : {100, 200, 300, 400, 500}) {
-    const EngineResult id = RunIdIvm(config, d, /*with_selection=*/true,
-                                     CompilerOptions{}, flags.engine);
+    const EngineResult id = RunIdIvm(config, d);
     const EngineResult fixed =
         RunSdbt(config, d, SdbtDevicesParts::Mode::kFixed);
     const EngineResult streams =
@@ -47,6 +37,6 @@ int main(int argc, char** argv) {
         static_cast<double>(streams.TotalAccesses()) /
             static_cast<double>(id.TotalAccesses()));
   }
-  flags.WriteOutputs();
+  obs.WriteOutputs();
   return 0;
 }

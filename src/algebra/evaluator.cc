@@ -1,11 +1,10 @@
 #include "src/algebra/evaluator.h"
 
-#include <algorithm>
-#include <optional>
+#include <vector>
 
+#include "src/algebra/physical_plan.h"
 #include "src/common/check.h"
 #include "src/common/str_util.h"
-#include "src/expr/analysis.h"
 
 namespace idivm {
 
@@ -64,877 +63,32 @@ std::vector<Row> IndexedRelation::Probe(const std::vector<size_t>& columns,
   return out;
 }
 
-namespace {
-
-bool RowKeyHasNull(const Row& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
-Row ConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
-}
-
-}  // namespace
-
-// ---- Probe paths -----------------------------------------------------------
-//
-// A plan subtree is "probeable" on a set of output columns when keyed lookups
-// can be served by stored hash indexes at its Scan leaves, with selections,
-// column-renaming projections and *chained joins* applied on the way out: a
-// probe into Join(A, B) on columns of A probes A, then probes B per result
-// row through the join's equi condition — exactly the chained diff-driven
-// index-nested-loop plan the Section 6 analysis assumes over R1, ..., Rn.
-//
-// PlanJoinProbe / CheckProbeable / FindProbeableKeySubset are declared in
-// the header: the src/exec compiler replays these exact decisions at
-// compile time (they depend only on plan structure and stored schemas).
-
-bool PlanJoinProbe(const PlanNode& join, const Schema& left_schema,
-                   const Schema& right_schema,
-                   const std::vector<std::string>& columns,
-                   JoinProbePlan* out) {
-  const std::set<std::string> left_cols = left_schema.ColumnNameSet();
-  const std::set<std::string> right_cols = right_schema.ColumnNameSet();
-  bool all_left = true;
-  bool all_right = true;
-  for (const std::string& col : columns) {
-    all_left &= left_cols.count(col) > 0;
-    all_right &= right_cols.count(col) > 0;
-  }
-  if (!all_left && !all_right) return false;
-  std::vector<std::pair<std::string, std::string>> equi;
-  const std::vector<ExprPtr> residual_conjuncts =
-      ExtractEquiPairs(join.predicate(), left_cols, right_cols, &equi);
-  if (equi.empty()) return false;
-  out->first = all_left ? 0 : 1;
-  out->first_link_cols.clear();
-  out->second_link_cols.clear();
-  for (const auto& [l, r] : equi) {
-    if (all_left) {
-      out->first_link_cols.push_back(l);
-      out->second_link_cols.push_back(r);
-    } else {
-      out->first_link_cols.push_back(r);
-      out->second_link_cols.push_back(l);
-    }
-  }
-  out->residual = ConjoinAll(residual_conjuncts);
-  return true;
-}
-
-bool CheckProbeable(const PlanPtr& plan,
-                    const std::vector<std::string>& columns,
-                    const Database& db) {
-  switch (plan->kind()) {
-    case PlanKind::kScan:
-      return true;  // hash index on demand
-    case PlanKind::kSelect:
-      return CheckProbeable(plan->child(0), columns, db);
-    case PlanKind::kProject: {
-      std::vector<std::string> inner;
-      inner.reserve(columns.size());
-      for (const std::string& name : columns) {
-        const ProjectItem* found = nullptr;
-        for (const ProjectItem& item : plan->project_items()) {
-          if (item.name == name) {
-            found = &item;
-            break;
-          }
-        }
-        if (found == nullptr || found->expr->kind() != ExprKind::kColumn) {
-          return false;  // probe column is computed, not a rename
-        }
-        inner.push_back(found->expr->column_name());
-      }
-      return CheckProbeable(plan->child(0), inner, db);
-    }
-    case PlanKind::kJoin: {
-      JoinProbePlan probe;
-      const Schema left_schema = InferSchema(plan->child(0), db);
-      const Schema right_schema = InferSchema(plan->child(1), db);
-      if (!PlanJoinProbe(*plan, left_schema, right_schema, columns, &probe)) {
-        return false;
-      }
-      return CheckProbeable(plan->child(probe.first), columns, db) &&
-             CheckProbeable(plan->child(1 - probe.first),
-                            probe.second_link_cols, db);
-    }
-    case PlanKind::kCoalesceProbe:
-      return CheckProbeable(plan->child(0), columns, db) &&
-             CheckProbeable(plan->child(1), columns, db);
-    default:
-      return false;
-  }
-}
-
-namespace {
-
-Relation EvaluateImpl(const PlanPtr& plan, EvalContext& ctx);
-
-// Keyed lookup through a probeable subtree. Returns matching rows in the
-// subtree's output schema. Only the Scan leaf charges accesses.
-std::vector<Row> DoProbe(const PlanPtr& plan,
-                         const std::vector<std::string>& columns,
-                         const Row& key, EvalContext& ctx, const Database& db) {
-  switch (plan->kind()) {
-    case PlanKind::kScan: {
-      if (plan->state() == StateTag::kPre && ctx.pre_state != nullptr) {
-        const auto it = ctx.pre_state->find(plan->table_name());
-        if (it != ctx.pre_state->end()) {
-          return it->second.Probe(it->second.schema().ColumnIndices(columns),
-                                  key);
-        }
-      }
-      Table& table = ctx.db->GetTable(plan->table_name());
-      return table.LookupWhereEquals(table.schema().ColumnIndices(columns),
-                                     key);
-    }
-    case PlanKind::kSelect: {
-      std::vector<Row> rows = DoProbe(plan->child(0), columns, key, ctx, db);
-      const Schema schema = InferSchema(plan->child(0), db);
-      const BoundExpr predicate(plan->predicate(), schema);
-      std::vector<Row> out;
-      out.reserve(rows.size());
-      for (Row& row : rows) {
-        if (predicate.Holds(row)) out.push_back(std::move(row));
-      }
-      return out;
-    }
-    case PlanKind::kProject: {
-      std::vector<std::string> inner;
-      inner.reserve(columns.size());
-      for (const std::string& name : columns) {
-        for (const ProjectItem& item : plan->project_items()) {
-          if (item.name == name) {
-            inner.push_back(item.expr->column_name());
-            break;
-          }
-        }
-      }
-      std::vector<Row> rows = DoProbe(plan->child(0), inner, key, ctx, db);
-      const Schema child_schema = InferSchema(plan->child(0), db);
-      std::vector<BoundExpr> exprs;
-      exprs.reserve(plan->project_items().size());
-      for (const ProjectItem& item : plan->project_items()) {
-        exprs.emplace_back(item.expr, child_schema);
-      }
-      std::vector<Row> out;
-      out.reserve(rows.size());
-      for (const Row& row : rows) {
-        Row projected;
-        projected.reserve(exprs.size());
-        for (const BoundExpr& e : exprs) projected.push_back(e.Eval(row));
-        out.push_back(std::move(projected));
-      }
-      return out;
-    }
-    case PlanKind::kCoalesceProbe: {
-      // Section 9 extension: try the view/cache copy first; its distinct
-      // rows for a full-key probe coincide with the base relation's single
-      // row. Fall back on miss, or when the base table received
-      // updates/deletes this round (the copy may be mid-maintenance).
-      bool unsafe =
-          ctx.assist_unsafe_tables != nullptr &&
-          ctx.assist_unsafe_tables->count(plan->table_name()) > 0;
-      // The FD argument requires the probe key to cover the base table's
-      // primary key (at most one base row per probe key).
-      if (!unsafe && ctx.db->HasTable(plan->table_name())) {
-        for (const std::string& key_col :
-             ctx.db->GetTable(plan->table_name()).key_columns()) {
-          if (std::find(columns.begin(), columns.end(), key_col) ==
-              columns.end()) {
-            unsafe = true;
-            break;
-          }
-        }
-      }
-      if (!unsafe) {
-        std::vector<Row> rows =
-            DoProbe(plan->child(0), columns, key, ctx, db);
-        if (!rows.empty()) {
-          // The cache may hold several copies (one per join partner); they
-          // agree on all projected columns — deduplicate.
-          std::vector<Row> distinct;
-          for (Row& row : rows) {
-            bool seen = false;
-            for (const Row& kept : distinct) {
-              if (CompareRows(kept, row) == 0) {
-                seen = true;
-                break;
-              }
-            }
-            if (!seen) distinct.push_back(std::move(row));
-          }
-          return distinct;
-        }
-      }
-      return DoProbe(plan->child(1), columns, key, ctx, db);
-    }
-    case PlanKind::kJoin: {
-      // Chained index nested loop: probe one side with the key, then probe
-      // the other side per matching row through the equi condition.
-      const Schema left_schema = InferSchema(plan->child(0), db);
-      const Schema right_schema = InferSchema(plan->child(1), db);
-      JoinProbePlan probe;
-      IDIVM_CHECK(PlanJoinProbe(*plan, left_schema, right_schema, columns,
-                                &probe),
-                  "DoProbe on non-probeable join");
-      const Schema& first_schema =
-          probe.first == 0 ? left_schema : right_schema;
-      const std::vector<size_t> link_cols =
-          first_schema.ColumnIndices(probe.first_link_cols);
-      const Schema out_schema = left_schema.Extend(right_schema.columns());
-      const BoundExpr residual(probe.residual, out_schema);
-      std::vector<Row> first_rows =
-          DoProbe(plan->child(probe.first), columns, key, ctx, db);
-      std::vector<Row> out;
-      for (const Row& frow : first_rows) {
-        const Row link_key = ProjectRow(frow, link_cols);
-        if (RowKeyHasNull(link_key)) continue;
-        for (const Row& srow :
-             DoProbe(plan->child(1 - probe.first), probe.second_link_cols,
-                     link_key, ctx, db)) {
-          Row combined = probe.first == 0 ? ConcatRows(frow, srow)
-                                          : ConcatRows(srow, frow);
-          if (residual.Holds(combined)) out.push_back(std::move(combined));
-        }
-      }
-      return out;
-    }
-    default:
-      IDIVM_UNREACHABLE("DoProbe on non-probeable plan");
-  }
-}
-
-// Memoizes probes per key: a real executor reads a joining block once and
-// reuses it for diff tuples sharing the key (Section 6.1 discussion of a<1).
-class ProbeCache {
- public:
-  ProbeCache(PlanPtr target, std::vector<std::string> columns,
-             EvalContext* ctx, const Database* db)
-      : target_(std::move(target)),
-        columns_(std::move(columns)),
-        ctx_(ctx),
-        db_(db) {}
-
-  const std::vector<Row>& Lookup(const Row& key) {
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    std::vector<Row> rows = DoProbe(target_, columns_, key, *ctx_, *db_);
-    return cache_.emplace(key, std::move(rows)).first->second;
-  }
-
- private:
-  struct RowLess {
-    bool operator()(const Row& a, const Row& b) const {
-      return CompareRows(a, b) < 0;
-    }
-  };
-  PlanPtr target_;
-  std::vector<std::string> columns_;
-  EvalContext* ctx_;
-  const Database* db_;
-  std::map<Row, std::vector<Row>, RowLess> cache_;
-};
-
-// ---- Fallback join machinery ----------------------------------------------
-
-struct HashedSide {
-  std::unordered_map<size_t, std::vector<size_t>> buckets;
-  const Relation* rel = nullptr;
-  std::vector<size_t> key_cols;
-
-  void Build(const Relation& rel_in, const std::vector<size_t>& cols) {
-    rel = &rel_in;
-    key_cols = cols;
-    for (size_t i = 0; i < rel_in.rows().size(); ++i) {
-      const Row& row = rel_in.rows()[i];
-      if (RowKeyHasNull(ProjectRow(row, cols))) continue;
-      buckets[HashRowKey(row, cols)].push_back(i);
-    }
-  }
-
-  // Indices of rows whose key_cols equal `key` (no cost: in-memory hash
-  // over an already-materialized input).
-  std::vector<size_t> Matches(const Row& key) const {
-    std::vector<size_t> out;
-    size_t h = 0xcbf29ce484222325ULL;
-    for (const Value& v : key) {
-      h ^= v.Hash();
-      h *= 0x100000001b3ULL;
-    }
-    const auto it = buckets.find(h);
-    if (it == buckets.end()) return out;
-    for (size_t idx : it->second) {
-      const Row& row = rel->rows()[idx];
-      bool match = true;
-      for (size_t i = 0; i < key_cols.size(); ++i) {
-        if (row[key_cols[i]].Compare(key[i]) != 0) {
-          match = false;
-          break;
-        }
-      }
-      if (match) out.push_back(idx);
-    }
-    return out;
-  }
-};
-
-}  // namespace
-
-// A multi-component key may span several base relations of a subview;
-// probing on one component and filtering the rest reproduces the DBMS's
-// index choice.
-std::vector<size_t> FindProbeableKeySubset(
-    const PlanPtr& target, const std::vector<std::string>& target_cols,
-    const Database& db) {
-  const size_t n = target_cols.size();
-  if (n == 0 || n > 10) return {};
-  // Try the full set first (common case), then subsets by decreasing size.
-  std::vector<std::vector<size_t>> candidates;
-  for (uint32_t mask = 1; mask < (1u << n); ++mask) {
-    std::vector<size_t> subset;
-    for (size_t i = 0; i < n; ++i) {
-      if (mask & (1u << i)) subset.push_back(i);
-    }
-    candidates.push_back(std::move(subset));
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.size() > b.size(); });
-  for (const std::vector<size_t>& subset : candidates) {
-    std::vector<std::string> cols;
-    for (size_t i : subset) cols.push_back(target_cols[i]);
-    if (CheckProbeable(target, cols, db)) return subset;
-  }
-  return {};
-}
-
-namespace {
-
-Relation EvalJoin(const PlanPtr& plan, EvalContext& ctx) {
-  const Database& db = *ctx.db;
-  const PlanPtr& left = plan->child(0);
-  const PlanPtr& right = plan->child(1);
-  const Schema left_schema = InferSchema(left, db);
-  const Schema right_schema = InferSchema(right, db);
-  const Schema out_schema = left_schema.Extend(right_schema.columns());
-
-  const std::set<std::string> left_cols =
-      left_schema.ColumnNameSet();
-  const std::set<std::string> right_cols =
-      right_schema.ColumnNameSet();
-  std::vector<std::pair<std::string, std::string>> equi;
-  const std::vector<ExprPtr> residual_conjuncts =
-      ExtractEquiPairs(plan->predicate(), left_cols, right_cols, &equi);
-  const ExprPtr residual = ConjoinAll(residual_conjuncts);
-  const BoundExpr residual_bound(residual, out_schema);
-
-  Relation out(out_schema);
-
-  if (!equi.empty()) {
-    std::vector<std::string> left_keys;
-    std::vector<std::string> right_keys;
-    for (const auto& [l, r] : equi) {
-      left_keys.push_back(l);
-      right_keys.push_back(r);
-    }
-    // Diff-driven loop plan: probe the stored side once per distinct key of
-    // the transient side. The probe may use a subset of the equi keys;
-    // dropped equalities are checked on the fetched rows.
-    auto key_equality_holds = [&](const Row& combined,
-                                  const std::vector<size_t>& used,
-                                  const std::vector<size_t>& lk_all,
-                                  const std::vector<size_t>& rk_all)
-        -> bool {
-      std::set<size_t> used_set(used.begin(), used.end());
-      for (size_t i = 0; i < lk_all.size(); ++i) {
-        if (used_set.count(i) > 0) continue;
-        const Value& lv = combined[lk_all[i]];
-        const Value& rv = combined[left_schema.num_columns() + rk_all[i]];
-        if (!lv.SqlEquals(rv)) return false;
-      }
-      return true;
-    };
-    const std::vector<size_t> lk_all = left_schema.ColumnIndices(left_keys);
-    const std::vector<size_t> rk_all = right_schema.ColumnIndices(right_keys);
-    if (IsTransientOnly(left)) {
-      const std::vector<size_t> subset =
-          FindProbeableKeySubset(right, right_keys, db);
-      if (!subset.empty()) {
-        const Relation left_rel = EvaluateImpl(left, ctx);
-        std::vector<std::string> probe_cols;
-        std::vector<size_t> lk;
-        for (size_t i : subset) {
-          probe_cols.push_back(right_keys[i]);
-          lk.push_back(lk_all[i]);
-        }
-        ProbeCache cache(right, probe_cols, &ctx, &db);
-        for (const Row& lrow : left_rel.rows()) {
-          const Row key = ProjectRow(lrow, lk);
-          if (RowKeyHasNull(key)) continue;
-          for (const Row& rrow : cache.Lookup(key)) {
-            Row combined = ConcatRows(lrow, rrow);
-            if (key_equality_holds(combined, subset, lk_all, rk_all) &&
-                residual_bound.Holds(combined)) {
-              out.Append(std::move(combined));
-            }
-          }
-        }
-        return out;
-      }
-    }
-    if (IsTransientOnly(right)) {
-      const std::vector<size_t> subset =
-          FindProbeableKeySubset(left, left_keys, db);
-      if (!subset.empty()) {
-        const Relation right_rel = EvaluateImpl(right, ctx);
-        std::vector<std::string> probe_cols;
-        std::vector<size_t> rk;
-        for (size_t i : subset) {
-          probe_cols.push_back(left_keys[i]);
-          rk.push_back(rk_all[i]);
-        }
-        ProbeCache cache(left, probe_cols, &ctx, &db);
-        for (const Row& rrow : right_rel.rows()) {
-          const Row key = ProjectRow(rrow, rk);
-          if (RowKeyHasNull(key)) continue;
-          for (const Row& lrow : cache.Lookup(key)) {
-            Row combined = ConcatRows(lrow, rrow);
-            if (key_equality_holds(combined, subset, lk_all, rk_all) &&
-                residual_bound.Holds(combined)) {
-              out.Append(std::move(combined));
-            }
-          }
-        }
-        return out;
-      }
-    }
-    // Hash join over materialized inputs. A transient (diff-only) side is
-    // evaluated first: an empty diff short-circuits the join without
-    // touching stored data, as a pipelined executor would.
-    Relation left_rel;
-    Relation right_rel;
-    if (IsTransientOnly(left)) {
-      left_rel = EvaluateImpl(left, ctx);
-      if (left_rel.empty()) return out;
-      right_rel = EvaluateImpl(right, ctx);
-    } else if (IsTransientOnly(right)) {
-      right_rel = EvaluateImpl(right, ctx);
-      if (right_rel.empty()) return out;
-      left_rel = EvaluateImpl(left, ctx);
-    } else {
-      left_rel = EvaluateImpl(left, ctx);
-      right_rel = EvaluateImpl(right, ctx);
-    }
-    HashedSide hashed;
-    hashed.Build(right_rel, right_schema.ColumnIndices(right_keys));
-    const std::vector<size_t> lk = left_schema.ColumnIndices(left_keys);
-    for (const Row& lrow : left_rel.rows()) {
-      const Row key = ProjectRow(lrow, lk);
-      if (RowKeyHasNull(key)) continue;
-      for (size_t ridx : hashed.Matches(key)) {
-        Row combined = ConcatRows(lrow, right_rel.rows()[ridx]);
-        if (residual_bound.Holds(combined)) out.Append(std::move(combined));
-      }
-    }
-    return out;
-  }
-
-  // No equi conjuncts: nested loop (same transient-first short-circuit).
-  Relation left_rel;
-  Relation right_rel;
-  if (IsTransientOnly(left)) {
-    left_rel = EvaluateImpl(left, ctx);
-    if (left_rel.empty()) return out;
-    right_rel = EvaluateImpl(right, ctx);
-  } else if (IsTransientOnly(right)) {
-    right_rel = EvaluateImpl(right, ctx);
-    if (right_rel.empty()) return out;
-    left_rel = EvaluateImpl(left, ctx);
-  } else {
-    left_rel = EvaluateImpl(left, ctx);
-    right_rel = EvaluateImpl(right, ctx);
-  }
-  const BoundExpr predicate(plan->predicate(), out_schema);
-  for (const Row& lrow : left_rel.rows()) {
-    for (const Row& rrow : right_rel.rows()) {
-      Row combined = ConcatRows(lrow, rrow);
-      if (predicate.Holds(combined)) out.Append(std::move(combined));
-    }
-  }
-  return out;
-}
-
-Relation EvalSemi(const PlanPtr& plan, bool anti, EvalContext& ctx) {
-  const Database& db = *ctx.db;
-  const PlanPtr& left = plan->child(0);
-  const PlanPtr& right = plan->child(1);
-  const Schema left_schema = InferSchema(left, db);
-  const Schema right_schema = InferSchema(right, db);
-  const Schema combined_schema = left_schema.Extend(right_schema.columns());
-
-  const std::set<std::string> left_cols =
-      left_schema.ColumnNameSet();
-  const std::set<std::string> right_cols =
-      right_schema.ColumnNameSet();
-  std::vector<std::pair<std::string, std::string>> equi;
-  const std::vector<ExprPtr> residual_conjuncts =
-      ExtractEquiPairs(plan->predicate(), left_cols, right_cols, &equi);
-  const ExprPtr residual = ConjoinAll(residual_conjuncts);
-  const BoundExpr residual_bound(residual, combined_schema);
-
-  Relation out(left_schema);
-
-  std::vector<std::string> left_keys;
-  std::vector<std::string> right_keys;
-  for (const auto& [l, r] : equi) {
-    left_keys.push_back(l);
-    right_keys.push_back(r);
-  }
-
-  const std::vector<size_t> lk_all = left_schema.ColumnIndices(left_keys);
-  const std::vector<size_t> rk_all = right_schema.ColumnIndices(right_keys);
-  // Equality of the equi-key pairs *not* covered by the probe subset.
-  auto keys_match = [&](const Row& lrow, const Row& rrow,
-                        const std::vector<size_t>& used) -> bool {
-    std::set<size_t> used_set(used.begin(), used.end());
-    for (size_t i = 0; i < lk_all.size(); ++i) {
-      if (used_set.count(i) > 0) continue;
-      if (!lrow[lk_all[i]].SqlEquals(rrow[rk_all[i]])) return false;
-    }
-    return true;
-  };
-
-  // Transient left probing a stored right: the common shape of rules like
-  // σφ(∆) ⋉ R and ∆ ⋉̄ Input_post.
-  if (!equi.empty() && IsTransientOnly(left)) {
-    const std::vector<size_t> subset =
-        FindProbeableKeySubset(right, right_keys, db);
-    if (!subset.empty()) {
-      const Relation left_rel = EvaluateImpl(left, ctx);
-      std::vector<std::string> probe_cols;
-      std::vector<size_t> lk;
-      for (size_t i : subset) {
-        probe_cols.push_back(right_keys[i]);
-        lk.push_back(lk_all[i]);
-      }
-      ProbeCache cache(right, probe_cols, &ctx, &db);
-      for (const Row& lrow : left_rel.rows()) {
-        const Row key = ProjectRow(lrow, lk);
-        if (RowKeyHasNull(key)) {
-          if (anti) out.Append(lrow);
-          continue;
-        }
-        bool matched = false;
-        for (const Row& rrow : cache.Lookup(key)) {
-          if (keys_match(lrow, rrow, subset) &&
-              residual_bound.Holds(ConcatRows(lrow, rrow))) {
-            matched = true;
-            break;
-          }
-        }
-        if (matched != anti) out.Append(lrow);
-      }
-      return out;
-    }
-  }
-
-  // Transient right probing a stored left (Input_post ⋉Ī ∆): probe per
-  // distinct diff key. With a partial probe subset the same left row may be
-  // fetched for several diff keys, so emitted rows are deduplicated.
-  if (!anti && !equi.empty() && IsTransientOnly(right)) {
-    const std::vector<size_t> subset =
-        FindProbeableKeySubset(left, left_keys, db);
-    if (!subset.empty()) {
-      const Relation right_rel = EvaluateImpl(right, ctx);
-      std::vector<std::string> probe_cols;
-      std::vector<size_t> rk;
-      for (size_t i : subset) {
-        probe_cols.push_back(left_keys[i]);
-        rk.push_back(rk_all[i]);
-      }
-      const bool partial = subset.size() < left_keys.size();
-      struct RowLess {
-        bool operator()(const Row& a, const Row& b) const {
-          return CompareRows(a, b) < 0;
-        }
-      };
-      std::set<Row, RowLess> emitted;
-      // Group right rows by probe key so residuals against any of them
-      // count once per left row.
-      std::map<Row, std::vector<const Row*>, RowLess> by_key;
-      for (const Row& rrow : right_rel.rows()) {
-        Row key = ProjectRow(rrow, rk);
-        if (RowKeyHasNull(key)) continue;
-        by_key[std::move(key)].push_back(&rrow);
-      }
-      ProbeCache cache(left, probe_cols, &ctx, &db);
-      for (const auto& [key, rrows] : by_key) {
-        for (const Row& lrow : cache.Lookup(key)) {
-          for (const Row* rrow : rrows) {
-            if (keys_match(lrow, *rrow, subset) &&
-                residual_bound.Holds(ConcatRows(lrow, *rrow))) {
-              if (!partial || emitted.insert(lrow).second) {
-                out.Append(lrow);
-              }
-              break;
-            }
-          }
-        }
-      }
-      return out;
-    }
-  }
-
-  // Fallback: materialize both sides, transient side first so an empty
-  // diff short-circuits. Semijoin with an empty left or right → empty;
-  // antisemijoin with an empty right → all of left (left must still be
-  // evaluated), with an empty left → empty.
-  Relation left_rel;
-  Relation right_rel;
-  if (IsTransientOnly(left)) {
-    left_rel = EvaluateImpl(left, ctx);
-    if (left_rel.empty()) return out;
-    right_rel = EvaluateImpl(right, ctx);
-  } else if (IsTransientOnly(right)) {
-    right_rel = EvaluateImpl(right, ctx);
-    if (right_rel.empty() && !anti) return out;
-    left_rel = EvaluateImpl(left, ctx);
-  } else {
-    left_rel = EvaluateImpl(left, ctx);
-    right_rel = EvaluateImpl(right, ctx);
-  }
-  if (!equi.empty()) {
-    HashedSide hashed;
-    hashed.Build(right_rel, right_schema.ColumnIndices(right_keys));
-    const std::vector<size_t> lk = left_schema.ColumnIndices(left_keys);
-    for (const Row& lrow : left_rel.rows()) {
-      const Row key = ProjectRow(lrow, lk);
-      bool matched = false;
-      if (!RowKeyHasNull(key)) {
-        for (size_t ridx : hashed.Matches(key)) {
-          if (residual_bound.Holds(
-                  ConcatRows(lrow, right_rel.rows()[ridx]))) {
-            matched = true;
-            break;
-          }
-        }
-      }
-      if (matched != anti) out.Append(lrow);
-    }
-    return out;
-  }
-  const BoundExpr predicate(plan->predicate(), combined_schema);
-  for (const Row& lrow : left_rel.rows()) {
-    bool matched = false;
-    for (const Row& rrow : right_rel.rows()) {
-      if (predicate.Holds(ConcatRows(lrow, rrow))) {
-        matched = true;
-        break;
-      }
-    }
-    if (matched != anti) out.Append(lrow);
-  }
-  return out;
-}
-
-// ---- Aggregation -----------------------------------------------------------
-
-struct AggState {
-  int64_t row_count = 0;
-  int64_t nonnull_count = 0;
-  double sum_double = 0;
-  int64_t sum_int = 0;
-  bool all_int = true;
-  Value min;
-  Value max;
-};
-
-Relation EvalAggregate(const PlanPtr& plan, EvalContext& ctx) {
-  const Database& db = *ctx.db;
-  const Relation input = EvaluateImpl(plan->child(0), ctx);
-  const Schema& in_schema = input.schema();
-  const Schema out_schema = InferSchema(plan, db);
-
-  const std::vector<size_t> group_cols =
-      in_schema.ColumnIndices(plan->group_by());
-  std::vector<std::optional<BoundExpr>> args;
-  for (const AggSpec& agg : plan->aggregates()) {
-    if (agg.arg != nullptr) {
-      args.emplace_back(BoundExpr(agg.arg, in_schema));
-    } else {
-      args.emplace_back(std::nullopt);
-    }
-  }
-
-  struct RowLess {
-    bool operator()(const Row& a, const Row& b) const {
-      return CompareRows(a, b) < 0;
-    }
-  };
-  std::map<Row, std::vector<AggState>, RowLess> groups;
-
-  for (const Row& row : input.rows()) {
-    Row key = ProjectRow(row, group_cols);
-    auto [it, inserted] = groups.try_emplace(
-        std::move(key), std::vector<AggState>(plan->aggregates().size()));
-    std::vector<AggState>& states = it->second;
-    for (size_t i = 0; i < plan->aggregates().size(); ++i) {
-      AggState& st = states[i];
-      ++st.row_count;
-      if (!args[i].has_value()) continue;  // COUNT(*)
-      const Value v = args[i]->Eval(row);
-      if (v.is_null()) continue;
-      ++st.nonnull_count;
-      if (v.is_numeric()) {
-        st.sum_double += v.NumericAsDouble();
-        if (v.type() == DataType::kInt64) {
-          st.sum_int += v.AsInt64();
-        } else {
-          st.all_int = false;
-        }
-      }
-      if (st.min.is_null() || v.Compare(st.min) < 0) st.min = v;
-      if (st.max.is_null() || v.Compare(st.max) > 0) st.max = v;
-    }
-  }
-
-  Relation out(out_schema);
-  auto finalize = [](const AggSpec& agg, const AggState& st) -> Value {
-    switch (agg.func) {
-      case AggFunc::kCount:
-        return Value(agg.arg == nullptr ? st.row_count : st.nonnull_count);
-      case AggFunc::kSum:
-        if (st.nonnull_count == 0) return Value::Null();
-        return st.all_int ? Value(st.sum_int) : Value(st.sum_double);
-      case AggFunc::kAvg:
-        if (st.nonnull_count == 0) return Value::Null();
-        return Value(st.sum_double / static_cast<double>(st.nonnull_count));
-      case AggFunc::kMin:
-        return st.min;
-      case AggFunc::kMax:
-        return st.max;
-    }
-    IDIVM_UNREACHABLE("bad AggFunc");
-  };
-
-  if (groups.empty() && plan->group_by().empty()) {
-    // SQL global aggregate over an empty input: one row.
-    Row row;
-    const std::vector<AggState> empty_states(plan->aggregates().size());
-    for (size_t i = 0; i < plan->aggregates().size(); ++i) {
-      row.push_back(finalize(plan->aggregates()[i], empty_states[i]));
-    }
-    out.Append(std::move(row));
-    return out;
-  }
-
-  for (const auto& [key, states] : groups) {
-    Row row = key;
-    for (size_t i = 0; i < plan->aggregates().size(); ++i) {
-      row.push_back(finalize(plan->aggregates()[i], states[i]));
-    }
-    out.Append(std::move(row));
-  }
-  return out;
-}
-
-Relation EvaluateImpl(const PlanPtr& plan, EvalContext& ctx) {
-  const Database& db = *ctx.db;
-  switch (plan->kind()) {
-    case PlanKind::kScan: {
-      if (plan->state() == StateTag::kPre && ctx.pre_state != nullptr) {
-        const auto it = ctx.pre_state->find(plan->table_name());
-        if (it != ctx.pre_state->end()) return it->second.ScanCounted();
-      }
-      return ctx.db->GetTable(plan->table_name()).ScanAll();
-    }
-    case PlanKind::kRelationRef: {
-      // Reserved names produced by the minimizer: statically-empty results
-      // (Fig. 8: ∆− ⋈_Ī R → ∅).
-      if (plan->ref_name().rfind("__empty", 0) == 0) {
-        return Relation(plan->ref_schema());
-      }
-      const auto it = ctx.transient.find(plan->ref_name());
-      IDIVM_CHECK(it != ctx.transient.end(),
-                  StrCat("unbound relation ref: ", plan->ref_name()));
-      IDIVM_CHECK(it->second->schema().ColumnNames() ==
-                      plan->ref_schema().ColumnNames(),
-                  StrCat("relation ref schema mismatch for ",
-                         plan->ref_name()));
-      return *it->second;  // transient: reads are free
-    }
-    case PlanKind::kSelect: {
-      const Relation input = EvaluateImpl(plan->child(0), ctx);
-      const BoundExpr predicate(plan->predicate(), input.schema());
-      Relation out(input.schema());
-      for (const Row& row : input.rows()) {
-        if (predicate.Holds(row)) out.Append(row);
-      }
-      return out;
-    }
-    case PlanKind::kProject: {
-      const Relation input = EvaluateImpl(plan->child(0), ctx);
-      const Schema out_schema = InferSchema(plan, db);
-      std::vector<BoundExpr> exprs;
-      exprs.reserve(plan->project_items().size());
-      for (const ProjectItem& item : plan->project_items()) {
-        exprs.emplace_back(item.expr, input.schema());
-      }
-      Relation out(out_schema);
-      for (const Row& row : input.rows()) {
-        Row projected;
-        projected.reserve(exprs.size());
-        for (const BoundExpr& e : exprs) projected.push_back(e.Eval(row));
-        out.Append(std::move(projected));
-      }
-      return out;
-    }
-    case PlanKind::kJoin:
-      return EvalJoin(plan, ctx);
-    case PlanKind::kSemiJoin:
-      return EvalSemi(plan, /*anti=*/false, ctx);
-    case PlanKind::kAntiSemiJoin:
-      return EvalSemi(plan, /*anti=*/true, ctx);
-    case PlanKind::kUnionAll: {
-      const Relation left = EvaluateImpl(plan->child(0), ctx);
-      const Relation right = EvaluateImpl(plan->child(1), ctx);
-      Relation out(InferSchema(plan, db));
-      for (const Row& row : left.rows()) {
-        Row extended = row;
-        extended.push_back(Value(int64_t{0}));
-        out.Append(std::move(extended));
-      }
-      for (const Row& row : right.rows()) {
-        Row extended = row;
-        extended.push_back(Value(int64_t{1}));
-        out.Append(std::move(extended));
-      }
-      return out;
-    }
-    case PlanKind::kAggregate:
-      return EvalAggregate(plan, ctx);
-    case PlanKind::kMaterialize:
-      return EvaluateImpl(plan->child(0), ctx);
-    case PlanKind::kCoalesceProbe:
-      // As a full relation the node means its base-truth fallback.
-      return EvaluateImpl(plan->child(1), ctx);
-  }
-  IDIVM_UNREACHABLE("bad PlanKind");
-}
-
-}  // namespace
-
-Relation Evaluate(const PlanPtr& plan, EvalContext& ctx) {
+Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
   IDIVM_CHECK(ctx.db != nullptr, "EvalContext requires a database");
-  return EvaluateImpl(plan, ctx);
+  if (plan->kind() == PlanKind::kRelationRef &&
+      plan->ref_name().rfind("__empty", 0) != 0) {
+    // A bare ref — also what a ref lowering could not bind falls back to.
+    const auto it = ctx.transient.find(plan->ref_name());
+    IDIVM_CHECK(it != ctx.transient.end(),
+                StrCat("unbound relation ref: ", plan->ref_name()));
+    IDIVM_CHECK(it->second->schema().ColumnNames() ==
+                    plan->ref_schema().ColumnNames(),
+                StrCat("relation ref schema mismatch for ", plan->ref_name()));
+    return *it->second;  // transient: reads are free
+  }
+  std::vector<const Relation*> regs;
+  const RefBinder bind = [&](const PlanNode& ref, Schema* schema) {
+    const auto it = ctx.transient.find(ref.ref_name());
+    if (it == ctx.transient.end() ||
+        it->second->schema().ColumnNames() != ref.ref_schema().ColumnNames()) {
+      return -1;
+    }
+    *schema = it->second->schema();
+    regs.push_back(it->second);
+    return static_cast<int>(regs.size()) - 1;
+  };
+  const PhysicalPlan physical = LowerPlan(plan, *ctx.db, bind);
+  return RunPlan(physical, ctx, regs.data());
 }
 
 }  // namespace idivm

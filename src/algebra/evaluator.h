@@ -2,14 +2,14 @@
 //
 // The Section 6 analysis assumes the DBMS executes ∆/D-script queries with a
 // *diff-driven loop plan*: for each diff tuple, index-probe the stored
-// relations it joins with (1 index lookup + p tuple reads per probe). This
-// evaluator reproduces that: whenever a join/semijoin pairs a transient
-// (diff-only) input with a stored access path (a Scan, possibly under
-// selections/renamings), it runs an index nested-loop probing the stored
-// side, charging exactly the paper's accesses. Probes with the same key are
-// charged once ("retrieved once and reused" — Section 6.1's a<1 case).
-// Everything else falls back to hash/nested-loop joins over materialized
-// inputs, whose Scan leaves charge one read per stored tuple.
+// relations it joins with (1 index lookup + p tuple reads per probe).
+// Evaluate reproduces that by lowering the plan to a physical plan
+// (physical_plan.h) against its context's bindings and running it: whenever
+// a join/semijoin pairs a transient (diff-only) input with a stored access
+// path, the stored side is probed through its indexes, charging exactly the
+// paper's accesses. Everything else falls back to hash/nested-loop joins
+// over materialized inputs, whose Scan leaves charge one read per stored
+// tuple.
 
 #ifndef IDIVM_ALGEBRA_EVALUATOR_H_
 #define IDIVM_ALGEBRA_EVALUATOR_H_
@@ -76,45 +76,11 @@ struct EvalContext {
   const std::set<std::string>* assist_unsafe_tables = nullptr;
 };
 
-// Evaluates `plan` to a materialized relation.
-Relation Evaluate(const PlanPtr& plan, EvalContext& ctx);
-
-// ---- Probe planning --------------------------------------------------------
-//
-// The static half of the diff-driven loop plan: whether a subtree can serve
-// keyed lookups, and how a join decomposes into chained probes. Exposed so
-// the ∆-script compiler (src/exec) makes byte-for-byte the same decisions at
-// compile time that the evaluator makes per evaluation — the decisions
-// depend only on plan structure and stored-table schemas, never on data.
-
-// Decomposes a join for probing from `columns` (all of which must come from
-// one side). On success fills: which side is probed first, the equi keys
-// linking to the other side, and the residual predicate.
-struct JoinProbePlan {
-  size_t first = 0;  // child index probed with the incoming key
-  std::vector<std::string> first_link_cols;   // equi cols on `first` side
-  std::vector<std::string> second_link_cols;  // matching cols on other side
-  ExprPtr residual;
-};
-
-bool PlanJoinProbe(const PlanNode& join, const Schema& left_schema,
-                   const Schema& right_schema,
-                   const std::vector<std::string>& columns,
-                   JoinProbePlan* out);
-
-// True when keyed lookups on `columns` can be served by stored hash indexes
-// at the subtree's Scan leaves (selections, renaming projections and chained
-// joins applied on the way out).
-bool CheckProbeable(const PlanPtr& plan,
-                    const std::vector<std::string>& columns,
-                    const Database& db);
-
-// Finds a subset of the equi-key positions on which `target` can serve
-// keyed probes, preferring the largest subset (fewest residual checks).
-// Returns an empty vector when no non-empty subset works.
-std::vector<size_t> FindProbeableKeySubset(
-    const PlanPtr& target, const std::vector<std::string>& target_cols,
-    const Database& db);
+// Evaluates `plan` to a materialized relation: lowers it against `ctx`'s
+// stored schemas and transient bindings, then runs it. Every table the
+// plan scans must exist. Referencing an unbound transient (or one bound
+// with other columns) fails a check when that ref is evaluated.
+Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx);
 
 }  // namespace idivm
 

@@ -1,12 +1,10 @@
-// Execution of blocking γ-maintenance steps (AggregateStep), shared by the
-// interpreting engine (src/core/maintainer.cc) and the compiled one
-// (src/exec): accumulate per-group deltas from the step's row-granularity
-// inputs, then maintain the aggregate either incrementally (optionally
-// through the SUM+COUNT operator cache, Table 12) or by per-group recompute
-// (Table 7). The executor reads inputs and publishes outputs through a
-// TransientAccess, so each engine supplies its own transient store (name
-// map vs. register file) while the γ semantics — and every stored-table
-// charge — stay in one place.
+// Execution of blocking γ-maintenance steps (AggregateStep), run by the
+// ∆-script VM (src/exec): accumulate per-group deltas from the step's
+// row-granularity inputs, then maintain the aggregate either incrementally
+// (optionally through the SUM+COUNT operator cache, Table 12) or by
+// per-group recompute (Table 7). The executor reads inputs and publishes
+// outputs through a TransientAccess (the VM's register file), so the γ
+// semantics — and every stored-table charge — stay in src/core.
 
 #ifndef IDIVM_CORE_AGGREGATE_EXEC_H_
 #define IDIVM_CORE_AGGREGATE_EXEC_H_
@@ -26,7 +24,7 @@
 
 namespace idivm {
 
-// How the γ executor reaches its engine's transient store: read an input
+// How the γ executor reaches the VM's transient store: read an input
 // row set, publish an output diff, and evaluate a recompute probe plan with
 // a scratch relation temporarily bound under a reserved name.
 class TransientAccess {
@@ -49,8 +47,8 @@ class TransientAccess {
 // Compile-time-resolvable bindings of an AggregateStep: group-by column
 // offsets, argument expressions bound to the input schema, output diff
 // schemas, and (when the operator cache exists) the cache's column offsets.
-// The interpreter rebuilds these per epoch; the compiled engine builds them
-// once per program.
+// The compiler builds them once per program; Run() binds them itself when
+// they could not be prebound.
 struct AggregateBindings {
   std::vector<size_t> group_cols;
   std::vector<std::optional<BoundExpr>> args;
@@ -66,7 +64,7 @@ struct AggregateBindings {
 };
 
 // Resolves the step's bindings against `script` (output diff schemas) and
-// `db` (operator-cache schema). Fails with the interpreter's
+// `db` (operator-cache schema). Fails with the
 // "aggregate output diffs not registered" error when an output diff is
 // missing, so a compile-time bind failure reproduces the runtime one.
 Status BindAggregateStep(const AggregateStep& step, const DeltaScript& script,
@@ -106,8 +104,7 @@ class AggAccumulator {
 };
 
 // Executes one AggregateStep against `transients`. Charges stored-table
-// accesses exactly as the interpreter always has (opcache DML, recompute
-// probe plans); transient reads are free.
+// accesses (opcache DML, recompute probe plans); transient reads are free.
 class AggregateExecutor {
  public:
   AggregateExecutor(Database* db, const AggregateStep& step,
@@ -125,7 +122,7 @@ class AggregateExecutor {
     prebound_ = bindings;
   }
   // Specialized accumulation kernel; when null, the generic per-tuple
-  // Contribute() loop runs (the interpreter path).
+  // Contribute() loop runs.
   void set_accumulator(AggAccumulator* accumulator) {
     accumulator_ = accumulator;
   }

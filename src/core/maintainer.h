@@ -1,17 +1,20 @@
 // View-maintenance-time execution (Section 3, blue components): the ∆-script
 // executor. Takes the net base-table changes, populates the input i-diff
 // instances, reconstructs pre-states where the script needs them, and runs
-// the script steps, attributing costs and wall time to the phases of
-// Fig. 12 (diff computation / cache update / view update).
+// the script, attributing costs and wall time to the phases of Fig. 12
+// (diff computation / cache update / view update).
 //
-// With MaintainOptions::threads > 1 the executor schedules steps over the
-// rule DAG (Fig. 6): steps whose input diffs are ready and whose stored-table
-// accesses do not conflict run concurrently on a thread pool, so the
-// independent per-base-table diff chains of the script proceed in parallel.
-// Blocking (aggregation) steps act as barriers. Per-step costs accumulate in
-// thread-private StatsArenas and are merged single-threaded in script order,
-// so view contents and every AccessStats counter are identical to sequential
-// execution (asserted by parallel_maintain_test).
+// A maintainer compiles its view's script into a CompiledProgram (src/exec)
+// on its first epoch and keeps it; every epoch runs that program on the
+// register VM. With MaintainOptions::threads > 1 the VM schedules the
+// program over the rule DAG (Fig. 6): instructions whose input diffs are
+// ready and whose stored-table accesses do not conflict run concurrently on
+// a thread pool, so the independent per-base-table diff chains of the
+// script proceed in parallel. Blocking (aggregation) steps act as barriers.
+// Per-step costs accumulate in thread-private StatsArenas and are merged
+// single-threaded in script order, so view contents and every AccessStats
+// counter are identical to sequential execution (asserted by
+// parallel_maintain_test).
 
 #ifndef IDIVM_CORE_MAINTAINER_H_
 #define IDIVM_CORE_MAINTAINER_H_
@@ -35,17 +38,7 @@ namespace idivm {
 
 namespace exec {
 struct CompiledProgram;
-class ProgramCache;
 }  // namespace exec
-
-// Which ∆-script executor runs the epoch. Both engines are byte-identical
-// in table contents, AccessStats, fault behaviour and error messages;
-// kCompiled skips the per-epoch binding and strategy-selection work by
-// running a cached CompiledProgram (src/exec).
-enum class ExecEngine {
-  kInterpret,
-  kCompiled,
-};
 
 struct PhaseCost {
   AccessStats accesses;
@@ -60,14 +53,14 @@ struct PhaseCost {
 
 struct MaintainOptions {
   // Number of worker threads executing the ∆-script. 1 (the default) runs
-  // the steps sequentially on the calling thread — the pre-parallel
-  // behaviour, bit for bit. Values > 1 enable the DAG scheduler.
+  // the program sequentially on the calling thread. Values > 1 enable the
+  // DAG scheduler.
   int threads = 1;
   // Fault-injection hook (chaos tests / benches); nullptr leaves the hot
   // path fault-free.
   FaultInjector* fault = nullptr;
   // Cooperative refresh deadline (robust::Deadline), checked at the same
-  // sites as fault injection in both engines. An expired deadline fails
+  // sites as fault injection. An expired deadline fails
   // the epoch with kDeadlineExceeded — roll back, then the ladder — so a
   // stalled refresh cannot hang a long-running service. nullptr disables.
   robust::Deadline* deadline = nullptr;
@@ -77,7 +70,8 @@ struct MaintainOptions {
   int64_t max_epoch_ops = 0;
   // Span recorder for this epoch (docs/OBSERVABILITY.md). nullptr falls
   // back to obs::GlobalTrace(); tracing is off when both are null. A
-  // committed epoch records one "epoch" span, one "setup" span and one
+  // committed epoch records one "epoch" span, one "setup" span, one
+  // charge-free "compile" span when it compiled the program, and one
   // "rule" span per ∆-script step (APPLY steps get a nested "apply" span),
   // each carrying its exact AccessStats delta; a failed epoch records only
   // the "epoch" span, marked failed=1, since its charges rolled back.
@@ -89,14 +83,6 @@ struct MaintainOptions {
   // (src/mvcc) from exactly what the epoch changed. A failed epoch still
   // rolls back and leaves `redo` untouched.
   EpochUndo* redo = nullptr;
-  // The ∆-script executor. kCompiled lowers the script once (src/exec)
-  // and runs the program through the register VM; epochs/undo, the
-  // degradation ladder, MVCC redo hand-off and per-rule attribution are
-  // engine-agnostic.
-  ExecEngine engine = ExecEngine::kInterpret;
-  // Program cache for kCompiled. nullptr: the maintainer compiles its view
-  // once and keeps the program privately (bench/one-shot use).
-  exec::ProgramCache* programs = nullptr;
 };
 
 struct MaintainResult {
@@ -154,19 +140,16 @@ class Maintainer {
   }
 
  private:
-  // The compiled program for this epoch: from options.programs when set,
-  // else compiled once and kept privately. Returns null only for the
-  // interpreting engine.
-  const exec::CompiledProgram* CompiledProgramFor(
-      const MaintainOptions& options, obs::TraceRecorder* trace);
-
   ApplyObserver apply_observer_;
   Database* db_;
   CompiledView view_;
   // Tables the script reads in pre-state (computed once from the script).
   std::vector<std::string> pre_state_tables_;
-  // Keeps the active program (and a privately-compiled one) alive across
-  // the epoch.
+  // The view's program, compiled by the first epoch (one
+  // idivm_program_cache_misses_total) and kept; every later epoch counts an
+  // idivm_program_cache_hits_total. Every catalog change builds new
+  // maintainers, so a kept program never outlives the schemas it was
+  // compiled against.
   std::shared_ptr<const exec::CompiledProgram> program_;
 };
 

@@ -1,10 +1,9 @@
-// Scheduler-facing analysis of ∆-script steps, shared by the interpreting
-// executor (src/core/maintainer.cc) and the compiling one (src/exec): which
-// transients and stored tables a step touches, whether it is a blocking
-// barrier, its cost-model phase and its stable label (fault sites, per-rule
-// counters and trace spans are all keyed on the label, so both engines must
-// derive it identically). StepRun is the per-step execution record both
-// engines fill and the maintainer merges single-threaded in script order.
+// Scheduler-facing analysis of ∆-script steps, computed once per program by
+// the compiler (src/exec): which transients and stored tables a step
+// touches, whether it is a blocking barrier, its cost-model phase and its
+// stable label (fault sites, per-rule counters and trace spans are all
+// keyed on the label). StepRun is the per-step execution record the VM
+// fills and the maintainer merges single-threaded in script order.
 
 #ifndef IDIVM_CORE_STEP_ACCESS_H_
 #define IDIVM_CORE_STEP_ACCESS_H_

@@ -43,7 +43,6 @@ Maintainer& ViewManager::DefineView(const std::string& name,
                                     const PlanPtr& plan,
                                     const CompilerOptions& options) {
   IDIVM_CHECK(!HasView(name), StrCat("view already defined: ", name));
-  programs_.Clear();
   views_.emplace_back(name, std::make_unique<Maintainer>(
                                 db_, CompileView(name, plan, *db_, options)));
   if (registry_ != nullptr) registry_->Track(db_->GetTable(name));
@@ -74,7 +73,6 @@ std::vector<std::string> ViewManager::ViewNames() const {
 void ViewManager::DropView(const std::string& name) {
   for (auto it = views_.begin(); it != views_.end(); ++it) {
     if (it->first != name) continue;
-    programs_.Clear();
     for (const std::string& cache : it->second->view().cache_tables) {
       db_->DropTable(cache);
     }
@@ -90,7 +88,6 @@ void ViewManager::DropView(const std::string& name) {
 }
 
 void ViewManager::RecomputeAllViews() {
-  programs_.Clear();
   for (auto& [name, maintainer] : views_) {
     const PlanPtr plan = maintainer->view().plan;
     CompilerOptions options = maintainer->view().options;
@@ -121,7 +118,6 @@ Status ViewManager::TryRecomputeView(size_t index, FaultInjector* fault) {
   }
   const PlanPtr plan = maintainer->view().plan;
   CompilerOptions options = maintainer->view().options;
-  programs_.Clear();
   // Rematerialization is real work; charge it (view-definition time is free
   // in the cost model).
   options.charge_materialization = true;
@@ -196,7 +192,6 @@ std::string ViewManager::LoadRepository(const std::string& text) {
   // a crash.
   size_t pos = text.find("(repository 1 ");
   if (pos != 0) return "not a repository dump";
-  programs_.Clear();
   pos = text.find('\n');
   if (pos == std::string::npos) return "truncated repository header";
   size_t count = 0;
@@ -318,8 +313,6 @@ Status ViewManager::TryRefresh(const RefreshOptions& options,
   mopts.deadline = options.deadline;
   mopts.max_epoch_ops = options.max_epoch_ops;
   mopts.trace = options.trace;
-  mopts.engine = options.engine;
-  mopts.programs = &programs_;
 
   struct ViewRun {
     MaintainResult result;

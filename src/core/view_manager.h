@@ -28,7 +28,6 @@
 
 #include "src/core/maintainer.h"
 #include "src/core/modification_log.h"
-#include "src/exec/program_cache.h"
 #include "src/mvcc/snapshot.h"
 #include "src/robust/deadline.h"
 #include "src/robust/fault_injection.h"
@@ -84,12 +83,6 @@ struct RefreshOptions {
   // "ladder" spans for recompute/quarantine rungs. nullptr falls back to
   // obs::GlobalTrace().
   obs::TraceRecorder* trace = nullptr;
-  // The ∆-script executor for every epoch of this refresh
-  // (MaintainOptions::engine). Compiled programs come from the manager's
-  // cache, invalidated whenever the catalog changes. Ladder retries
-  // inherit the engine: a compiled-epoch failure retries compiled,
-  // single-threaded.
-  ExecEngine engine = ExecEngine::kInterpret;
 };
 
 // One view's trip down the degradation ladder during a TryRefresh.
@@ -235,12 +228,6 @@ class ViewManager {
   std::vector<std::pair<std::string, std::unique_ptr<Maintainer>>> views_;
   // Views taken out of service by ladder rung 3.
   std::set<std::string> quarantined_;
-  // Compiled ∆-script programs for RefreshOptions::engine == kCompiled,
-  // invalidated by every catalog-changing operation (DefineView, DropView,
-  // LoadRepository — and their internal reuse by RecomputeAllViews and
-  // RepairView, which recompile scripts through DefineView-equivalent
-  // paths).
-  exec::ProgramCache programs_;
   // Non-null iff snapshot reads are enabled (EnableSnapshotReads).
   std::unique_ptr<mvcc::SnapshotRegistry> registry_;
 };

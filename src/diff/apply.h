@@ -75,13 +75,13 @@ ApplyResult ApplyDiff(const DiffInstance& diff, Table& target,
 // flushed on every exit path, so the recorded-prefix contract above holds
 // for errors too. When `fault` is non-null the batch boundary is itself a
 // fault site, "apply-flush:<table>", visited after the mutations and
-// exercised by the chaos/parity site sweeps in both engines.
+// exercised by the chaos site sweeps.
 Status TryApplyDiff(const DiffInstance& diff, Table& target, ApplyResult* out,
                     ReturningImages* returning = nullptr,
                     EpochUndo* undo = nullptr,
                     FaultInjector* fault = nullptr);
 
-// Copy-free variant: both engines hold the diff's schema and data in
+// Copy-free variant: the ∆-script VM holds the diff's schema and data in
 // separate registers; this overload applies them without materializing a
 // DiffInstance (which would copy the relation once per APPLY step).
 Status TryApplyDiff(const DiffSchema& schema, const Relation& data,

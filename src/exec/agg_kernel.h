@@ -1,4 +1,4 @@
-// Specialized γ-update kernels: the compiled engine's replacement for the
+// Specialized γ-update kernels: the compiled program's replacement for the
 // per-tuple Contribute() loop of core's AggregateExecutor.
 //
 // A kernel is built once per compiled program, per AggregateStep whose
@@ -14,7 +14,8 @@
 // Contract: a kernel's group-delta map must be bit-identical to the one
 // the generic loop produces — same key order (GroupKeyLess map), same NULL
 // handling, same double-accumulation order — because the map feeds the
-// byte-compared output diffs of the exec parity suite. Steps with
+// output diffs, whose contents and charges must not depend on which
+// accumulator ran. Steps with
 // non-column arguments get no kernel and fall back to the generic loop
 // (counted by idivm_agg_kernel_misses_total).
 

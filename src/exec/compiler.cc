@@ -1,6 +1,5 @@
 #include "src/exec/compiler.h"
 
-#include <algorithm>
 #include <chrono>
 #include <map>
 #include <set>
@@ -8,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/algebra/evaluator.h"
+#include "src/algebra/physical_plan.h"
 #include "src/common/str_util.h"
 #include "src/core/step_access.h"
 #include "src/expr/analysis.h"
@@ -20,8 +19,8 @@ namespace {
 
 // True when BindAggregateStep can run without tripping a schema-resolution
 // CHECK. When false the program carries no prebound γ bindings and the
-// executor binds at runtime — hitting exactly the failure the interpreter
-// would hit, at the same point.
+// executor binds when the step runs — hitting the failure there, at the
+// step that owns it.
 bool CanBindAggregate(const AggregateStep& step, const Database& db) {
   const std::set<std::string> in_cols = step.input_schema.ColumnNameSet();
   for (const std::string& g : step.group_by) {
@@ -57,13 +56,11 @@ class ScriptCompiler {
     // Input bindings are instantiated every epoch (possibly empty), so
     // their names are statically bound from the start.
     for (const InputDiffBinding& binding : input_bindings) {
-      const int s = Slot(binding.name, binding.schema.relation_schema());
-      p_->slots[s].input_binding = true;
+      Slot(binding.name, binding.schema.relation_schema());
       BindStatic(binding.name, binding.schema.relation_schema());
     }
     const DeltaScript& script = p_->script;
     const size_t n = script.steps.size();
-    p_->n_steps = n;
 
     // How many sites read each transient name: compute-plan refs, APPLY
     // inputs and γ inputs (row sets, accumulated diffs and recompute-probe
@@ -92,11 +89,12 @@ class ScriptCompiler {
       for (const std::string& r : refs) ++readers[r];
     }
 
-    std::vector<StepAccess> access(n);
+    std::vector<StepAccess>& access = p_->steps;
+    access.resize(n);
     std::vector<MicroOp> mops(n);
     for (size_t i = 0; i < n; ++i) {
       access[i] = AnalyzeStep(script.steps[i]);
-      mops[i] = LowerStep(i, script.steps[i], access[i].label);
+      mops[i] = LowerStep(i, script.steps[i]);
     }
 
     // Instruction grouping: fuse compute(i) into apply(i+1) when the apply
@@ -126,8 +124,7 @@ class ScriptCompiler {
         inst.access = access[i];
       }
       if (inst.ops.back().kind == MicroOp::Kind::kApply) {
-        const std::string& target =
-            p_->tables[inst.ops.back().table_id];
+        const std::string target = inst.ops.back().target;
         while (j < n && script.steps[j].apply.has_value() &&
                script.steps[j].apply->target_table == target) {
           inst.ops.push_back(std::move(mops[j]));
@@ -143,22 +140,13 @@ class ScriptCompiler {
   }
 
  private:
-  int InternTable(const std::string& name) {
-    const auto it = p_->table_index.find(name);
-    if (it != p_->table_index.end()) return it->second;
-    const int id = static_cast<int>(p_->tables.size());
-    p_->tables.push_back(name);
-    p_->table_index.emplace(name, id);
-    return id;
-  }
-
   // Creates (or finds) the slot register for `name`. The first creation
   // fixes the slot schema; a name is only ever produced with one schema.
   int Slot(const std::string& name, const Schema& schema) {
     const auto it = p_->slot_index.find(name);
     if (it != p_->slot_index.end()) return it->second;
     const int id = static_cast<int>(p_->slots.size());
-    p_->slots.push_back(CompiledProgram::SlotDef{name, schema, false});
+    p_->slots.push_back(CompiledProgram::SlotDef{name, schema});
     p_->slot_index.emplace(name, id);
     return id;
   }
@@ -176,44 +164,39 @@ class ScriptCompiler {
     return true;
   }
 
-  int AddPlan(PlanOp op) {
-    p_->plan_ops.push_back(std::move(op));
-    return static_cast<int>(p_->plan_ops.size()) - 1;
+  // Binds a compute plan's transient ref to its slot register when the
+  // name is statically bound with the ref's columns; otherwise the ref
+  // lowers to a fallback, so Evaluate's unbound-ref check fires at run
+  // time, if and when the ref is evaluated.
+  int BindRef(const PlanNode& ref, Schema* schema) {
+    const auto it = bound_.find(ref.ref_name());
+    if (it == bound_.end() ||
+        it->second.ColumnNames() != ref.ref_schema().ColumnNames()) {
+      return -1;
+    }
+    *schema = it->second;
+    return Slot(ref.ref_name(), it->second);
   }
 
-  int AddProbe(ProbeOp op) {
-    p_->probe_ops.push_back(std::move(op));
-    return static_cast<int>(p_->probe_ops.size()) - 1;
-  }
-
-  // Whole-subtree interpreter fallback: the VM calls Evaluate(plan) with
-  // the step's reconstructed EvalContext — identical behaviour (including
-  // any runtime CHECK) by construction.
-  int Fallback(const PlanPtr& plan) {
-    saw_fallback_ = true;
-    PlanOp op;
-    op.kind = PlanOp::Kind::kFallback;
-    op.plan = plan;
-    return AddPlan(op);
-  }
-
-  MicroOp LowerStep(size_t i, const ScriptStep& step,
-                    const std::string& label) {
+  MicroOp LowerStep(size_t i, const ScriptStep& step) {
     MicroOp op;
     op.step = i;
-    op.label = label;
     if (step.compute.has_value()) {
       const ComputeDiffStep& cs = *step.compute;
       op.kind = MicroOp::Kind::kCompute;
       op.name = cs.out_name;
       op.raw = cs.raw_relation;
-      saw_fallback_ = false;
       // A scan of a table the database does not have would make schema
-      // inference impossible; the interpreter only faults if and when such
-      // a scan actually runs, so defer the whole query.
-      op.plan_root = ScanTablesExist(cs.query) ? CompilePlan(cs.query)
-                                               : Fallback(cs.query);
-      op.has_fallback = saw_fallback_;
+      // inference impossible; such a scan faults only if and when it runs,
+      // so defer the whole query to Evaluate.
+      if (ScanTablesExist(cs.query)) {
+        const RefBinder bind = [this](const PlanNode& ref, Schema* schema) {
+          return BindRef(ref, schema);
+        };
+        op.plan = LowerPlan(cs.query, db_, bind);
+      } else {
+        op.plan = FallbackPlan(cs.query);
+      }
       if (!cs.raw_relation) {
         const DiffSchema* ds = p_->script.FindDiffSchema(cs.out_name);
         if (ds == nullptr) {
@@ -265,7 +248,7 @@ class ScriptCompiler {
         }
         op.extras.push_back(std::move(ex));
       }
-      op.table_id = InternTable(as.target_table);
+      op.target = as.target_table;
       op.capture = !as.returning_pre.empty() || !as.returning_post.empty();
       if (op.capture) {
         const Schema ts = db_.HasTable(as.target_table)
@@ -306,379 +289,17 @@ class ScriptCompiler {
     return op;
   }
 
-  // ---- Plan lowering (mirrors EvaluateImpl) --------------------------------
-
-  int CompilePlan(const PlanPtr& plan) {
-    switch (plan->kind()) {
-      case PlanKind::kScan: {
-        PlanOp op;
-        op.kind = PlanOp::Kind::kScan;
-        op.table_id = InternTable(plan->table_name());
-        op.pre_state = plan->state() == StateTag::kPre;
-        op.out_schema = InferSchema(plan, db_);
-        return AddPlan(std::move(op));
-      }
-      case PlanKind::kRelationRef: {
-        if (plan->ref_name().rfind("__empty", 0) == 0) {
-          PlanOp op;
-          op.kind = PlanOp::Kind::kEmptyRef;
-          op.out_schema = plan->ref_schema();
-          return AddPlan(std::move(op));
-        }
-        const auto it = bound_.find(plan->ref_name());
-        // Statically unbound or mismatched: fall back so the runtime CHECK
-        // ("unbound relation ref" / "relation ref schema mismatch") fires
-        // exactly as under interpretation.
-        if (it == bound_.end() ||
-            it->second.ColumnNames() != plan->ref_schema().ColumnNames()) {
-          return Fallback(plan);
-        }
-        PlanOp op;
-        op.kind = PlanOp::Kind::kSlotRef;
-        op.slot = Slot(plan->ref_name(), it->second);
-        op.out_schema = it->second;
-        return AddPlan(std::move(op));
-      }
-      case PlanKind::kSelect: {
-        PlanOp op;
-        op.kind = PlanOp::Kind::kSelect;
-        op.child0 = CompilePlan(plan->child(0));
-        op.out_schema = p_->plan_ops[op.child0].out_schema;
-        op.pred.emplace(plan->predicate(), op.out_schema);
-        return AddPlan(std::move(op));
-      }
-      case PlanKind::kProject: {
-        PlanOp op;
-        const PlanPtr& child = plan->child(0);
-        // The SPJ diff kernel: σ under π fuses to one filter+project pass.
-        if (child->kind() == PlanKind::kSelect) {
-          op.kind = PlanOp::Kind::kFilterProject;
-          op.child0 = CompilePlan(child->child(0));
-          const Schema& in = p_->plan_ops[op.child0].out_schema;
-          op.pred.emplace(child->predicate(), in);
-          for (const ProjectItem& item : plan->project_items()) {
-            op.exprs.emplace_back(item.expr, in);
-          }
-        } else {
-          op.kind = PlanOp::Kind::kProject;
-          op.child0 = CompilePlan(child);
-          const Schema& in = p_->plan_ops[op.child0].out_schema;
-          for (const ProjectItem& item : plan->project_items()) {
-            op.exprs.emplace_back(item.expr, in);
-          }
-        }
-        op.out_schema = InferSchema(plan, db_);
-        return AddPlan(std::move(op));
-      }
-      case PlanKind::kJoin:
-        return CompileJoin(plan);
-      case PlanKind::kSemiJoin:
-        return CompileSemi(plan, /*anti=*/false);
-      case PlanKind::kAntiSemiJoin:
-        return CompileSemi(plan, /*anti=*/true);
-      case PlanKind::kUnionAll: {
-        PlanOp op;
-        op.kind = PlanOp::Kind::kUnionAll;
-        op.child0 = CompilePlan(plan->child(0));
-        op.child1 = CompilePlan(plan->child(1));
-        op.out_schema = InferSchema(plan, db_);
-        return AddPlan(std::move(op));
-      }
-      case PlanKind::kAggregate: {
-        PlanOp op;
-        op.kind = PlanOp::Kind::kAggregate;
-        op.child0 = CompilePlan(plan->child(0));
-        const Schema& in = p_->plan_ops[op.child0].out_schema;
-        op.group_cols = in.ColumnIndices(plan->group_by());
-        for (const AggSpec& agg : plan->aggregates()) {
-          if (agg.arg != nullptr) {
-            op.agg_args.emplace_back(BoundExpr(agg.arg, in));
-          } else {
-            op.agg_args.emplace_back(std::nullopt);
-          }
-        }
-        op.out_schema = InferSchema(plan, db_);
-        op.plan = plan;  // AggSpec list for finalization
-        return AddPlan(std::move(op));
-      }
-      case PlanKind::kMaterialize:
-        return CompilePlan(plan->child(0));
-      case PlanKind::kCoalesceProbe:
-        // As a full relation the node means its base-truth fallback.
-        return CompilePlan(plan->child(1));
-    }
-    return Fallback(plan);
-  }
-
-  // Mirrors EvalJoin's strategy selection, in its exact order: transient
-  // left driving a probe of the right, transient right driving a probe of
-  // the left, hash join with transient-first short-circuit, nested loop.
-  int CompileJoin(const PlanPtr& plan) {
-    const PlanPtr& left = plan->child(0);
-    const PlanPtr& right = plan->child(1);
-    const Schema left_schema = InferSchema(left, db_);
-    const Schema right_schema = InferSchema(right, db_);
-    const Schema out_schema = left_schema.Extend(right_schema.columns());
-
-    std::vector<std::pair<std::string, std::string>> equi;
-    const std::vector<ExprPtr> residual_conjuncts = ExtractEquiPairs(
-        plan->predicate(), left_schema.ColumnNameSet(),
-        right_schema.ColumnNameSet(), &equi);
-    const ExprPtr residual = ConjoinAll(residual_conjuncts);
-
-    PlanOp op;
-    op.out_schema = out_schema;
-    op.left_ncols = left_schema.num_columns();
-    const int tf = IsTransientOnly(left) ? 0 : IsTransientOnly(right) ? 1 : 2;
-    op.transient_first = tf;
-
-    if (!equi.empty()) {
-      std::vector<std::string> left_keys;
-      std::vector<std::string> right_keys;
-      for (const auto& [l, r] : equi) {
-        left_keys.push_back(l);
-        right_keys.push_back(r);
-      }
-      op.lk_all = left_schema.ColumnIndices(left_keys);
-      op.rk_all = right_schema.ColumnIndices(right_keys);
-      op.residual.emplace(residual, out_schema);
-      if (IsTransientOnly(left) && ScanTablesExist(right)) {
-        const std::vector<size_t> subset =
-            FindProbeableKeySubset(right, right_keys, db_);
-        if (!subset.empty()) {
-          op.kind = PlanOp::Kind::kJoinProbe;
-          op.subset = subset;
-          std::vector<std::string> probe_cols;
-          for (size_t s : subset) {
-            probe_cols.push_back(right_keys[s]);
-            op.probe_key_cols.push_back(op.lk_all[s]);
-          }
-          op.probe_root = CompileProbe(right, probe_cols);
-          op.child0 = CompilePlan(left);
-          op.transient_first = 0;  // left drives
-          return AddPlan(std::move(op));
-        }
-      }
-      if (IsTransientOnly(right) && ScanTablesExist(left)) {
-        const std::vector<size_t> subset =
-            FindProbeableKeySubset(left, left_keys, db_);
-        if (!subset.empty()) {
-          op.kind = PlanOp::Kind::kJoinProbe;
-          op.subset = subset;
-          std::vector<std::string> probe_cols;
-          for (size_t s : subset) {
-            probe_cols.push_back(left_keys[s]);
-            op.probe_key_cols.push_back(op.rk_all[s]);
-          }
-          op.probe_root = CompileProbe(left, probe_cols);
-          op.child0 = CompilePlan(right);
-          op.transient_first = 1;  // right drives
-          return AddPlan(std::move(op));
-        }
-      }
-      op.kind = PlanOp::Kind::kJoinHash;
-      op.child0 = CompilePlan(left);
-      op.child1 = CompilePlan(right);
-      return AddPlan(std::move(op));
-    }
-
-    op.kind = PlanOp::Kind::kJoinNl;
-    op.child0 = CompilePlan(left);
-    op.child1 = CompilePlan(right);
-    op.pred.emplace(plan->predicate(), out_schema);
-    return AddPlan(std::move(op));
-  }
-
-  // Mirrors EvalSemi: transient left probing the right (anti allowed),
-  // transient right probing the left (semi only, partial-subset dedup),
-  // then the hash / nested-loop fallback with its short-circuits.
-  int CompileSemi(const PlanPtr& plan, bool anti) {
-    const PlanPtr& left = plan->child(0);
-    const PlanPtr& right = plan->child(1);
-    const Schema left_schema = InferSchema(left, db_);
-    const Schema right_schema = InferSchema(right, db_);
-    const Schema combined = left_schema.Extend(right_schema.columns());
-
-    std::vector<std::pair<std::string, std::string>> equi;
-    const std::vector<ExprPtr> residual_conjuncts = ExtractEquiPairs(
-        plan->predicate(), left_schema.ColumnNameSet(),
-        right_schema.ColumnNameSet(), &equi);
-    const ExprPtr residual = ConjoinAll(residual_conjuncts);
-
-    std::vector<std::string> left_keys;
-    std::vector<std::string> right_keys;
-    for (const auto& [l, r] : equi) {
-      left_keys.push_back(l);
-      right_keys.push_back(r);
-    }
-
-    PlanOp op;
-    op.out_schema = left_schema;
-    op.left_ncols = left_schema.num_columns();
-    op.anti = anti;
-    op.lk_all = left_schema.ColumnIndices(left_keys);
-    op.rk_all = right_schema.ColumnIndices(right_keys);
-    op.residual.emplace(residual, combined);
-    op.transient_first =
-        IsTransientOnly(left) ? 0 : IsTransientOnly(right) ? 1 : 2;
-
-    if (!equi.empty() && IsTransientOnly(left) && ScanTablesExist(right)) {
-      const std::vector<size_t> subset =
-          FindProbeableKeySubset(right, right_keys, db_);
-      if (!subset.empty()) {
-        op.kind = PlanOp::Kind::kSemiProbeLeft;
-        op.subset = subset;
-        std::vector<std::string> probe_cols;
-        for (size_t s : subset) {
-          probe_cols.push_back(right_keys[s]);
-          op.probe_key_cols.push_back(op.lk_all[s]);
-        }
-        op.probe_root = CompileProbe(right, probe_cols);
-        op.child0 = CompilePlan(left);
-        return AddPlan(std::move(op));
-      }
-    }
-    if (!anti && !equi.empty() && IsTransientOnly(right) &&
-        ScanTablesExist(left)) {
-      const std::vector<size_t> subset =
-          FindProbeableKeySubset(left, left_keys, db_);
-      if (!subset.empty()) {
-        op.kind = PlanOp::Kind::kSemiProbeRight;
-        op.subset = subset;
-        op.partial = subset.size() < left_keys.size();
-        std::vector<std::string> probe_cols;
-        for (size_t s : subset) {
-          probe_cols.push_back(left_keys[s]);
-          op.probe_key_cols.push_back(op.rk_all[s]);
-        }
-        op.probe_root = CompileProbe(left, probe_cols);
-        op.child0 = CompilePlan(right);
-        return AddPlan(std::move(op));
-      }
-    }
-
-    op.child0 = CompilePlan(left);
-    op.child1 = CompilePlan(right);
-    if (!equi.empty()) {
-      op.kind = PlanOp::Kind::kSemiHash;
-    } else {
-      op.kind = PlanOp::Kind::kSemiNl;
-      op.pred.emplace(plan->predicate(), combined);
-    }
-    return AddPlan(std::move(op));
-  }
-
-  // ---- Probe-path lowering (mirrors DoProbe) -------------------------------
-  //
-  // Only reached for subtrees FindProbeableKeySubset accepted, whose Scan
-  // leaves all exist (checked at the join), so schema resolution here
-  // cannot fault.
-
-  int CompileProbe(const PlanPtr& plan,
-                   const std::vector<std::string>& columns) {
-    switch (plan->kind()) {
-      case PlanKind::kScan: {
-        ProbeOp op;
-        op.kind = ProbeOp::Kind::kScan;
-        op.table_id = InternTable(plan->table_name());
-        op.pre_state = plan->state() == StateTag::kPre;
-        // Pre-state relations keep the table's schema, so the offsets
-        // below serve both states.
-        op.key_cols =
-            db_.GetTable(plan->table_name()).schema().ColumnIndices(columns);
-        return AddProbe(std::move(op));
-      }
-      case PlanKind::kSelect: {
-        ProbeOp op;
-        op.kind = ProbeOp::Kind::kSelect;
-        op.child0 = CompileProbe(plan->child(0), columns);
-        op.pred.emplace(plan->predicate(),
-                        InferSchema(plan->child(0), db_));
-        return AddProbe(std::move(op));
-      }
-      case PlanKind::kProject: {
-        // Rename the probe columns through the first matching item, then
-        // project every fetched row through all items.
-        std::vector<std::string> inner;
-        inner.reserve(columns.size());
-        for (const std::string& name : columns) {
-          for (const ProjectItem& item : plan->project_items()) {
-            if (item.name == name) {
-              inner.push_back(item.expr->column_name());
-              break;
-            }
-          }
-        }
-        ProbeOp op;
-        op.kind = ProbeOp::Kind::kProject;
-        op.child0 = CompileProbe(plan->child(0), inner);
-        const Schema child_schema = InferSchema(plan->child(0), db_);
-        for (const ProjectItem& item : plan->project_items()) {
-          op.exprs.emplace_back(item.expr, child_schema);
-        }
-        return AddProbe(std::move(op));
-      }
-      case PlanKind::kCoalesceProbe: {
-        ProbeOp op;
-        op.kind = ProbeOp::Kind::kCoalesce;
-        op.table_id = InternTable(plan->table_name());
-        // Static half of the safety decision: the probe key must cover the
-        // base table's primary key (at most one base row per key). The
-        // runtime half — did the table receive updates/deletes this
-        // round — stays with the VM.
-        if (db_.HasTable(plan->table_name())) {
-          for (const std::string& key_col :
-               db_.GetTable(plan->table_name()).key_columns()) {
-            if (std::find(columns.begin(), columns.end(), key_col) ==
-                columns.end()) {
-              op.static_unsafe = true;
-              break;
-            }
-          }
-        }
-        op.child0 = CompileProbe(plan->child(0), columns);
-        op.child1 = CompileProbe(plan->child(1), columns);
-        return AddProbe(std::move(op));
-      }
-      case PlanKind::kJoin: {
-        const Schema left_schema = InferSchema(plan->child(0), db_);
-        const Schema right_schema = InferSchema(plan->child(1), db_);
-        JoinProbePlan probe;
-        IDIVM_CHECK(PlanJoinProbe(*plan, left_schema, right_schema, columns,
-                                  &probe),
-                    "CompileProbe on non-probeable join");
-        ProbeOp op;
-        op.kind = ProbeOp::Kind::kJoin;
-        op.first_is_left = probe.first == 0;
-        const Schema& first_schema =
-            probe.first == 0 ? left_schema : right_schema;
-        op.link_cols = first_schema.ColumnIndices(probe.first_link_cols);
-        op.residual.emplace(probe.residual,
-                            left_schema.Extend(right_schema.columns()));
-        op.child0 = CompileProbe(plan->child(probe.first), columns);
-        op.child1 =
-            CompileProbe(plan->child(1 - probe.first), probe.second_link_cols);
-        return AddProbe(std::move(op));
-      }
-      default:
-        IDIVM_UNREACHABLE("CompileProbe on non-probeable plan");
-    }
-  }
-
   CompiledProgram* p_;
   const Database& db_;
   // Statically-bound transient names at the current step, with the schema
   // the runtime relation will carry.
   std::map<std::string, Schema> bound_;
-  bool saw_fallback_ = false;
 };
 
 }  // namespace
 
 std::shared_ptr<const CompiledProgram> CompileProgram(
-    const CompiledView& view, const Database& db,
-    obs::TraceRecorder* trace) {
-  const int64_t start_us = trace != nullptr ? trace->NowMicros() : 0;
+    const CompiledView& view, const Database& db) {
   const auto t0 = std::chrono::steady_clock::now();
 
   auto program = std::make_shared<CompiledProgram>();
@@ -691,25 +312,10 @@ std::shared_ptr<const CompiledProgram> CompileProgram(
   compiler.Run(view.input_bindings);
 
   const auto t1 = std::chrono::steady_clock::now();
-  program->compile_seconds = std::chrono::duration<double>(t1 - t0).count();
   obs::GlobalHistogram("idivm_compile_seconds")
-      .Observe(program->compile_seconds);
+      .Observe(std::chrono::duration<double>(t1 - t0).count());
   obs::GlobalCounter("idivm_fused_steps_total")
       .Increment(program->fused_steps);
-  if (trace != nullptr) {
-    obs::TraceSpan span;
-    span.name = StrCat("compile ", view.view_name);
-    span.category = "compile";
-    span.tid = obs::TraceRecorder::CurrentThreadId();
-    span.start_us = start_us;
-    span.dur_us = trace->NowMicros() - start_us;
-    span.args.emplace_back("steps",
-                           static_cast<int64_t>(program->n_steps));
-    span.args.emplace_back("instructions",
-                           static_cast<int64_t>(program->instructions.size()));
-    span.args.emplace_back("fused_steps", program->fused_steps);
-    trace->Record(std::move(span));
-  }
   return program;
 }
 

@@ -1,11 +1,11 @@
 // The ∆-script compiler: lowers a CompiledView's DeltaScript into a
 // CompiledProgram (program.h) executed by the register VM (vm.h). Every
-// decision the interpreter makes per epoch from plan structure and stored
-// schemas — join strategy selection, probe-key subsets, expression binding,
-// diff-schema lookups, γ bindings — is made once here; subtrees the
-// compiler cannot prove byte-identical (statically-unbound relation refs,
-// scans of missing tables) lower to interpreter-fallback ops, so a compiled
-// program never diverges from interpretation, it only skips per-epoch work.
+// decision that depends only on the script and the stored schemas — each
+// compute step's physical plan (the same lowering Evaluate uses), diff-schema
+// lookups, γ bindings and kernels, step fusion — is made once here.
+// Subtrees that cannot be bound at compile time (statically-unbound
+// relation refs, scans of missing tables) lower to fallback ops that call
+// Evaluate when they run.
 
 #ifndef IDIVM_EXEC_COMPILER_H_
 #define IDIVM_EXEC_COMPILER_H_
@@ -14,17 +14,16 @@
 
 #include "src/core/compose.h"
 #include "src/exec/program.h"
-#include "src/obs/trace.h"
 #include "src/storage/database.h"
 
 namespace idivm {
 namespace exec {
 
-// Compiles `view`'s script against the stored-table schemas in `db`.
-// Records a "compile" trace span on `trace` (nullptr: no span) and observes
-// the idivm_compile_seconds / idivm_fused_steps_total metrics. Never fails.
-std::shared_ptr<const CompiledProgram> CompileProgram(
-    const CompiledView& view, const Database& db, obs::TraceRecorder* trace);
+// Compiles `view`'s script against the stored-table schemas in `db` and
+// observes the idivm_compile_seconds / idivm_fused_steps_total metrics.
+// Never fails.
+std::shared_ptr<const CompiledProgram> CompileProgram(const CompiledView& view,
+                                                      const Database& db);
 
 }  // namespace exec
 }  // namespace idivm

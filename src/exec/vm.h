@@ -1,10 +1,10 @@
-// The register VM executing CompiledPrograms (program.h): slot registers
-// hold transient relations, instructions run sequentially or over the same
-// conflict DAG the interpreter schedules, and every micro-op performs the
-// full per-step bookkeeping — private StatsArena, fault sites, trace
-// windows, undo capture, op-budget check — so a compiled epoch is
-// byte-identical to an interpreted one in table contents, AccessStats,
-// fault behaviour and error messages.
+// The register VM executing CompiledPrograms (program.h) — the only way a
+// maintenance epoch runs. Slot registers hold transient relations;
+// instructions run sequentially or over the rule-DAG conflict graph; every
+// micro-op performs the full per-step bookkeeping — private StatsArena,
+// fault and deadline sites, trace windows, undo capture, op-budget check.
+// Compute steps run their physical plans through the same runner Evaluate
+// uses (physical_plan.h), so the VM itself holds no relational operator.
 
 #ifndef IDIVM_EXEC_VM_H_
 #define IDIVM_EXEC_VM_H_
@@ -31,8 +31,8 @@ namespace exec {
 
 // Everything one epoch execution needs. All pointers are borrowed and must
 // outlive the Execute call; `runs` must be sized to the program's step
-// count (the VM fills the same per-step records the interpreter does, so
-// the maintainer's merge loop is engine-agnostic).
+// count (one record per original script step, merged by the maintainer in
+// script order).
 struct ExecEnv {
   Database* db = nullptr;
   const CompiledProgram* program = nullptr;
@@ -53,8 +53,7 @@ struct ExecEnv {
 };
 
 // Runs the program. On error the epoch's partial mutations are already in
-// `undo`; the caller rolls back (same contract as the interpreter's step
-// loop).
+// `undo`; the caller rolls back.
 Status Execute(const ExecEnv& env);
 
 }  // namespace exec

@@ -1,7 +1,7 @@
 // Cooperative per-refresh deadline: the watchdog half of the long-running
 // service story. A Deadline is armed before a refresh and checked by the
-// maintenance engines at every fault site (each ∆-script step entry and each
-// APPLY, in both the interpreter and the bytecode VM). An expired check
+// ∆-script VM at every fault site (each ∆-script step entry and each
+// APPLY). An expired check
 // returns kDeadlineExceeded, which fails the epoch exactly like any other
 // recoverable error: the epoch rolls back and the degradation ladder takes
 // over (retry single-threaded → recompute → quarantine) — a stalled or

@@ -72,7 +72,6 @@ struct ServiceOptions {
 
   // ---- Refresh execution (RefreshOptions) ----
   int threads = 1;
-  ExecEngine engine = ExecEngine::kInterpret;
   DegradePolicy degrade = DegradePolicy::kQuarantine;
   // Watchdog: a refresh older than this trips the ladder via
   // robust::Deadline (0 disables).

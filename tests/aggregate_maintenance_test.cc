@@ -6,6 +6,7 @@
 #include "src/core/compose.h"
 #include "src/core/maintainer.h"
 #include "src/core/modification_log.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace idivm {
@@ -180,6 +181,31 @@ TEST_F(AggMaintTest, CountStarVsCountArg) {
   const auto row = db_.GetTable("v").LookupByKeyUncounted({Value("b")});
   EXPECT_EQ((*row)[1].AsInt64(), 3);  // rows
   EXPECT_EQ((*row)[2].AsInt64(), 1);  // non-null values
+}
+
+// The running example's γ step aggregates a plain column, so its program
+// folds deltas through a specialized kernel: the kernel hit counter rises
+// and the generic-loop miss counter does not.
+TEST_F(AggMaintTest, RunningExampleAggEngagesKernel) {
+  testing::LoadRunningExample(&db_);
+  Maintainer m(&db_, CompileView("vp", testing::RunningExampleAggPlan(db_),
+                                 db_));
+  ModificationLogger logger(&db_);
+  ASSERT_TRUE(logger.Update("parts", {Value("P1")}, {"price"},
+                            {Value(11.0)}));
+  ASSERT_TRUE(logger.Insert("parts", {Value("P5"), Value(50.0)}));
+  ASSERT_TRUE(logger.Insert("devices_parts", {Value("D1"), Value("P5")}));
+  ASSERT_TRUE(logger.Delete("devices_parts", {Value("D2"), Value("P1")}));
+  ASSERT_TRUE(logger.Update("devices", {Value("D3")}, {"category"},
+                            {Value("phone")}));
+  const auto counter = [](const char* name) {
+    return obs::MetricsRegistry::Global().CounterValue(name);
+  };
+  const int64_t hits0 = counter("idivm_agg_kernel_hits_total");
+  const int64_t misses0 = counter("idivm_agg_kernel_misses_total");
+  Check(m, logger);
+  EXPECT_GT(counter("idivm_agg_kernel_hits_total"), hits0);
+  EXPECT_EQ(counter("idivm_agg_kernel_misses_total"), misses0);
 }
 
 }  // namespace

@@ -219,6 +219,110 @@ TEST_F(EvaluatorTest, ProbeThroughJoinChain) {
   EXPECT_EQ(db_.stats().tuple_reads, 2);
 }
 
+TEST_F(EvaluatorTest, TransientRightSideDrivesJoinProbes) {
+  // Stored left ⋈ transient right: the diff on the right drives index
+  // probes of r, one per distinct key; output keeps left ++ right columns.
+  const Schema diff_schema({{"q", DataType::kInt64}});
+  Relation diff(diff_schema, {{Value(int64_t{1})}, {Value(int64_t{2})}});
+  const PlanPtr p = PlanNode::Join(PlanNode::Scan("r"),
+                                   PlanNode::RelationRef("d", diff_schema),
+                                   Eq(Col("k"), Col("q")));
+  EvalContext ctx;
+  ctx.db = &db_;
+  ctx.transient["d"] = &diff;
+  db_.stats().Reset();
+  const Relation out = Evaluate(p, ctx);
+  EXPECT_EQ(out.schema().ColumnNames(),
+            (std::vector<std::string>{"rid", "k", "v", "q"}));
+  ASSERT_EQ(out.size(), 6u);  // rids 1,5,9 (k=1) and 2,6,10 (k=2)
+  for (const Row& row : out.rows()) {
+    EXPECT_EQ(row[1].AsInt64(), row[3].AsInt64());
+    EXPECT_EQ(row[0].AsInt64() % 4, row[1].AsInt64());
+  }
+  EXPECT_EQ(db_.stats().index_lookups, 2);
+  EXPECT_EQ(db_.stats().tuple_reads, 6);
+  EXPECT_EQ(db_.stats().TotalAccesses(), 8);
+}
+
+TEST_F(EvaluatorTest, TransientLeftSemiJoinsProbe) {
+  // σ(∆) ⋉ s and ∆ ⋉̄ s probe s once per non-NULL diff key; a NULL key
+  // matches nothing, so ⋉̄ keeps its row without probing.
+  const Schema diff_schema({{"k", DataType::kInt64}});
+  Relation diff(diff_schema, {{Value(int64_t{1})},
+                              {Value(int64_t{7})},
+                              {Value::Null()}});
+  const PlanPtr ref = PlanNode::RelationRef("d", diff_schema);
+  EvalContext ctx;
+  ctx.db = &db_;
+  ctx.transient["d"] = &diff;
+
+  db_.stats().Reset();
+  const Relation semi = Evaluate(
+      PlanNode::SemiJoin(ref, PlanNode::Scan("s"), Eq(Col("k"), Col("sid"))),
+      ctx);
+  ASSERT_EQ(semi.size(), 1u);
+  EXPECT_EQ(semi.rows()[0][0].AsInt64(), 1);
+  EXPECT_EQ(db_.stats().index_lookups, 2);  // keys 1 and 7
+  EXPECT_EQ(db_.stats().tuple_reads, 1);    // s row 1
+  EXPECT_EQ(db_.stats().TotalAccesses(), 3);
+
+  db_.stats().Reset();
+  const Relation anti = Evaluate(
+      PlanNode::AntiSemiJoin(ref, PlanNode::Scan("s"),
+                             Eq(Col("k"), Col("sid"))),
+      ctx);
+  ASSERT_EQ(anti.size(), 2u);
+  EXPECT_EQ(anti.rows()[0][0].AsInt64(), 7);
+  EXPECT_TRUE(anti.rows()[1][0].is_null());
+  EXPECT_EQ(db_.stats().index_lookups, 2);
+  EXPECT_EQ(db_.stats().tuple_reads, 1);
+  EXPECT_EQ(db_.stats().TotalAccesses(), 3);
+
+  Relation null_only(diff_schema, {{Value::Null()}});
+  ctx.transient["d"] = &null_only;
+  db_.stats().Reset();
+  const Relation kept = Evaluate(
+      PlanNode::AntiSemiJoin(ref, PlanNode::Scan("s"),
+                             Eq(Col("k"), Col("sid"))),
+      ctx);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_TRUE(kept.rows()[0][0].is_null());
+  EXPECT_EQ(db_.stats().TotalAccesses(), 0);
+}
+
+TEST_F(EvaluatorTest, StoredLeftSemiJoinProbesPartialKey) {
+  // Stored left ⋉ transient right on two equi keys, one of them computed:
+  // only k can be probed, so rows sharing a k value share one probe and
+  // v2 = dv is checked on the fetched rows. Left row rid 1 is matched by
+  // two diff rows and still emitted once.
+  const PlanPtr left = PlanNode::Project(
+      PlanNode::Scan("r"), {{Col("rid"), "rid"},
+                            {Col("k"), "k"},
+                            {Mul(Col("v"), Lit(Value(1.0))), "v2"}});
+  const Schema diff_schema({{"dk", DataType::kInt64},
+                            {"dv", DataType::kDouble},
+                            {"tag", DataType::kString}});
+  Relation diff(diff_schema,
+                {{Value(int64_t{1}), Value(1.0), Value("a")},
+                 {Value(int64_t{1}), Value(1.0), Value("b")},
+                 {Value(int64_t{1}), Value(5.0), Value("c")},
+                 {Value(int64_t{2}), Value(99.0), Value("d")}});
+  const PlanPtr p = PlanNode::SemiJoin(
+      left, PlanNode::RelationRef("d", diff_schema),
+      And(Eq(Col("k"), Col("dk")), Eq(Col("v2"), Col("dv"))));
+  EvalContext ctx;
+  ctx.db = &db_;
+  ctx.transient["d"] = &diff;
+  db_.stats().Reset();
+  const Relation out = Evaluate(p, ctx).Sorted();
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.rows()[0][0].AsInt64(), 1);
+  EXPECT_EQ(out.rows()[1][0].AsInt64(), 5);
+  EXPECT_EQ(db_.stats().index_lookups, 2);  // probe keys k=1, k=2
+  EXPECT_EQ(db_.stats().tuple_reads, 6);    // three r rows per key
+  EXPECT_EQ(db_.stats().TotalAccesses(), 8);
+}
+
 TEST_F(EvaluatorTest, PreStateScan) {
   // A pre-state override replaces the stored table for kPre scans only.
   Relation pre(db_.GetTable("r").schema());

@@ -5,6 +5,7 @@
 #include "src/core/compose.h"
 #include "src/core/maintainer.h"
 #include "src/core/modification_log.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace idivm {
@@ -128,6 +129,24 @@ TEST_F(MaintainerTest, ScriptPhasesLabelled) {
   }
   EXPECT_TRUE(has_cache_phase);
   EXPECT_TRUE(has_view_phase);
+}
+
+// The first epoch compiles the script, fusing each compute step into the
+// APPLY that consumes its diff; the SPJ chain has such pairs, and the
+// idivm_fused_steps_total counter says so.
+TEST_F(MaintainerTest, FirstEpochCompilesAndFusesSteps) {
+  Maintainer m(&db_, CompileView("v", testing::RunningExampleSpjPlan(db_),
+                                 db_));
+  ModificationLogger logger(&db_);
+  ASSERT_TRUE(logger.Update("parts", {Value("P1")}, {"price"},
+                            {Value(11.0)}));
+  const int64_t fused0 = obs::MetricsRegistry::Global().CounterValue(
+      "idivm_fused_steps_total");
+  m.Maintain(logger.NetChanges());
+  EXPECT_GT(obs::MetricsRegistry::Global().CounterValue(
+                "idivm_fused_steps_total"),
+            fused0);
+  testing::ExpectViewMatchesRecompute(&db_, m.view().plan, "v");
 }
 
 }  // namespace

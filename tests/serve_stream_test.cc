@@ -330,13 +330,23 @@ TEST(ServeStreamTest, KillAndResumeChaosCycle) {
                                       {Value(10.0 + i)}));
   }
   ASSERT_TRUE(service->WaitForQuiesce(20.0));
+  const uint64_t quiesced_lsn = service->stats().last_commit_lsn;
 
-  // Phase 2: more ops, then crash mid-stream — some applied, some still
-  // queued and abandoned.
+  // Phase 2: more ops, then crash mid-stream once at least one phase-2
+  // batch has committed — later ops may still be queued and are
+  // abandoned. Waiting for that commit puts the torn tail below in
+  // phase 2; crashing before it would tear the quiesced prefix's last
+  // COMMIT instead.
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(service->SubmitInsert(
         "parts", {Value("P2" + std::to_string(100 + i)), Value(2.0 * i)}));
   }
+  for (int i = 0; i < 2000 &&
+                  service->stats().last_commit_lsn == quiesced_lsn;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(service->stats().last_commit_lsn, quiesced_lsn);
   service->Crash();
   service.reset();
 

@@ -3,6 +3,7 @@
 
 #include "gtest/gtest.h"
 #include "src/core/view_manager.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace idivm {
@@ -114,6 +115,59 @@ TEST_F(ViewManagerTest, FailedModificationsAreNotLogged) {
   EXPECT_FALSE(manager.Update("parts", {Value("P99")}, {"price"},
                               {Value(1.0)}));
   EXPECT_TRUE(manager.Refresh().empty());
+}
+
+// Each maintainer compiles its view's program on its first epoch and keeps
+// it: the first refresh after DefineView compiles every view (one miss
+// each), the next compiles none (one hit each). RepairView and
+// LoadRepository compile only the maintainers they build.
+TEST_F(ViewManagerTest, EachMaintainerCompilesOnce) {
+  const auto counter = [](const char* name) {
+    return obs::MetricsRegistry::Global().CounterValue(name);
+  };
+  int64_t misses = counter("idivm_program_cache_misses_total");
+  int64_t hits = counter("idivm_program_cache_hits_total");
+  auto expect_counts = [&](int64_t new_misses, int64_t new_hits,
+                           const char* context) {
+    misses += new_misses;
+    hits += new_hits;
+    EXPECT_EQ(counter("idivm_program_cache_misses_total"), misses) << context;
+    EXPECT_EQ(counter("idivm_program_cache_hits_total"), hits) << context;
+  };
+  int price = 12;
+  auto touch_parts = [&](ViewManager& manager) {
+    EXPECT_TRUE(manager.Update("parts", {Value("P1")}, {"price"},
+                               {Value(static_cast<double>(price++))}));
+  };
+
+  ViewManager manager(&db_);
+  manager.DefineView("v", testing::RunningExampleSpjPlan(db_));
+  manager.DefineView("vp", testing::RunningExampleAggPlan(db_));
+  touch_parts(manager);
+  manager.Refresh();
+  expect_counts(2, 0, "first refresh compiles every view");
+  touch_parts(manager);
+  manager.Refresh();
+  expect_counts(0, 2, "second refresh compiles none");
+
+  manager.RepairView("v");
+  touch_parts(manager);
+  manager.Refresh();
+  expect_counts(1, 1, "repair rebuilds only v");
+
+  const std::string dump = manager.SerializeRepository();
+  ViewManager reloaded(&db_);
+  ASSERT_EQ(reloaded.LoadRepository(dump), "");
+  touch_parts(reloaded);
+  reloaded.Refresh();
+  expect_counts(2, 0, "a loaded repository compiles its own maintainers");
+  touch_parts(manager);
+  manager.Refresh();
+  expect_counts(0, 2, "the original manager keeps its programs");
+  for (const std::string name : {"v", "vp"}) {
+    testing::ExpectViewMatchesRecompute(
+        &db_, manager.GetView(name).view().plan, name);
+  }
 }
 
 }  // namespace
