@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,7 +26,7 @@
 #include "src/core/view_manager.h"
 #include "src/persist/recovery.h"
 #include "src/persist/snapshot.h"
-#include "src/persist/wal.h"
+#include "src/persist/wal_set.h"
 #include "src/workload/bsma.h"
 
 int main(int argc, char** argv) {
@@ -36,7 +37,6 @@ int main(int argc, char** argv) {
   int users = 300;
   int mods = 1000;
   int commit_every = 100;
-  WalOptions wal_options;
   std::string wal_dir;
   BenchFlags flags;
   for (int i = 1; i < argc; ++i) {
@@ -50,21 +50,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--commit-every") == 0) {
       commit_every = ParsePositiveIntFlag(
           "--commit-every", FlagValue("--commit-every", argc, argv, &i));
-    } else if (std::strcmp(argv[i], "--sync") == 0) {
-      const char* text = FlagValue("--sync", argc, argv, &i);
-      if (!ParseWalSyncPolicy(text, &wal_options.sync)) {
-        FlagError("--sync", "expects none | on-commit | every-n");
-      }
-    } else if (std::strcmp(argv[i], "--every-n") == 0) {
-      wal_options.every_n = ParsePositiveIntFlag(
-          "--every-n", FlagValue("--every-n", argc, argv, &i));
     } else if (std::strcmp(argv[i], "--wal-dir") == 0) {
       wal_dir = FlagValue("--wal-dir", argc, argv, &i);
     } else {
       FlagError(argv[i],
                 "is not recognized (supported: --users --mods --commit-every "
-                "--threads --sync --every-n --wal-dir --trace-out "
-                "--metrics-out)");
+                "--threads --wal-dir --trace-out --metrics-out)");
     }
   }
   flags.Install();
@@ -88,10 +79,9 @@ int main(int argc, char** argv) {
 
   std::printf("\nRecovery: snapshot + WAL replay via ∆-scripts vs view "
               "recompute\n");
-  std::printf("users=%d, %zu views, commit every %d mods, sync=%s, "
+  std::printf("users=%d, %zu views, commit every %d mods, "
               "replay threads=%d (of %d hardware), dir=%s\n\n",
-              users, views.size(), commit_every,
-              WalSyncPolicyName(wal_options.sync), threads,
+              users, views.size(), commit_every, threads,
               ThreadPool::HardwareThreads(), wal_dir.c_str());
   std::printf("%-8s %-8s %12s %10s %12s %10s %12s %9s\n", "tail", "batches",
               "replay-acc", "replay-ms", "recomp-acc", "recomp-ms",
@@ -102,17 +92,21 @@ int main(int argc, char** argv) {
     if (tail < 1) continue;
     // -- The pre-crash run: snapshot, then journal `tail` modifications.
     const std::string snap = wal_dir + "/bench.snap";
-    const std::string wal_path = wal_dir + "/bench.wal";
+    // SegmentedWal::Open resumes a log it finds, so each tail journals
+    // into an emptied directory.
+    const std::string log_dir = wal_dir + "/bench.wal";
+    std::error_code ec;
+    std::filesystem::remove_all(log_dir, ec);
+    std::filesystem::create_directory(log_dir, ec);
     Database db;
     BsmaWorkload workload(&db, config);
     ViewManager manager(&db);
     for (const std::string& view : views) {
       manager.DefineView(view, workload.ViewPlan(view));
     }
-    auto wal = WalWriter::Open(wal_path, wal_options);
+    auto wal = SegmentedWal::Open(log_dir);
     if (wal == nullptr) {
-      std::fprintf(stderr, "error: cannot open WAL at %s\n",
-                   wal_path.c_str());
+      std::fprintf(stderr, "error: cannot open WAL at %s\n", log_dir.c_str());
       return 1;
     }
     const std::string snap_error =
@@ -136,13 +130,13 @@ int main(int argc, char** argv) {
     Database replayed;
     ViewManager vm_replay(&replayed);
     const RecoverResult replay =
-        Recover(&replayed, &vm_replay, snap, wal_path,
+        Recover(&replayed, &vm_replay, snap, log_dir,
                 RecoverOptions{.mode = RecoverMode::kReplay,
                                .threads = threads});
     Database recomputed;
     ViewManager vm_recompute(&recomputed);
     const RecoverResult recompute =
-        Recover(&recomputed, &vm_recompute, snap, wal_path,
+        Recover(&recomputed, &vm_recompute, snap, log_dir,
                 RecoverOptions{.mode = RecoverMode::kRecompute});
     if (!replay.ok || !recompute.ok) {
       std::fprintf(stderr, "error: recovery failed: %s%s\n",

@@ -21,7 +21,7 @@ namespace idivm {
 // Durable journal hook: when attached to a ModificationLogger, every
 // accepted change is journaled *before* it mutates a Table (write-ahead
 // discipline), and refresh batch boundaries are journaled as commits. The
-// production implementation is persist::WalWriter; keeping the interface
+// production implementation is persist::SegmentedWal; keeping the interface
 // here lets src/core stay independent of src/persist.
 class ModificationJournal {
  public:

@@ -123,8 +123,8 @@ class ViewManager {
 
   // Drops and recompiles every registered view from its plan against the
   // current base tables, preserving definition order. This is recovery's
-  // `--recover-mode=recompute` fallback (and a repair tool for views whose
-  // materialized state is suspect).
+  // persist::RecoverMode::kRecompute fallback (and a repair tool for views
+  // whose materialized state is suspect).
   void RecomputeAllViews();
 
   // ---- Data modification (logged; eager mode refreshes immediately) ----
@@ -199,7 +199,7 @@ class ViewManager {
   // serving layer (src/serve) schedules refreshes from.
   size_t PendingModifications() const;
 
-  // Attaches a write-ahead journal (src/persist WalWriter): every accepted
+  // Attaches a write-ahead journal (src/persist SegmentedWal): every accepted
   // modification is journaled before it mutates a table, and Refresh
   // journals a COMMIT record delimiting each maintenance batch — the unit
   // recovery replays. Pass nullptr to detach.

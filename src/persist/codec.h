@@ -91,6 +91,7 @@ enum class FrameStatus {
   kCorrupt,  // CRC mismatch or absurd length
 };
 
+// One frame read by ReadFrame: its status and, when kOk, its payload.
 struct FrameResult {
   FrameStatus status = FrameStatus::kTorn;
   std::string_view payload;  // valid iff status == kOk (views into the file)

@@ -12,6 +12,8 @@
 
 namespace idivm::persist {
 
+// One source file's pristine bytes, rewritten at a scratch path with one
+// fault at a time.
 class FaultFile {
  public:
   // Reads `source` into memory (aborts if unreadable); faults are

@@ -6,14 +6,13 @@
 
 #include "src/common/str_util.h"
 #include "src/persist/snapshot.h"
-#include "src/persist/wal.h"
 #include "src/persist/wal_set.h"
 
 namespace idivm::persist {
 
 RecoverResult Recover(Database* db, ViewManager* vm,
                       const std::string& snapshot_path,
-                      const std::string& wal_path,
+                      const std::string& wal_dir,
                       const RecoverOptions& options) {
   RecoverResult result;
   const auto start = std::chrono::steady_clock::now();
@@ -34,27 +33,13 @@ RecoverResult Recover(Database* db, ViewManager* vm,
     }
   }
 
-  // `wal_path` names either a single WalWriter file or a SegmentedWal
-  // directory; both yield the same LSN-ordered record stream.
-  WalReadResult wal;
-  if (IsDirectory(wal_path)) {
-    SegmentedReadResult segmented = ReadSegmentedWal(wal_path);
-    wal.ok = segmented.ok;
-    wal.error = segmented.error;
-    wal.records = std::move(segmented.records);
-    wal.truncated = segmented.truncated;
-    wal.truncate_reason = segmented.truncate_reason;
-    wal.valid_bytes = segmented.torn_valid_bytes;
-  } else {
-    wal = ReadWal(wal_path);
-  }
+  const SegmentedReadResult wal = ReadSegmentedWal(wal_dir);
   if (!wal.ok) {
     result.error = wal.error;
     return result;
   }
   result.wal_truncated = wal.truncated;
   result.wal_truncate_reason = wal.truncate_reason;
-  result.wal_valid_bytes = wal.valid_bytes;
 
   // Group the tail into COMMIT-delimited batches; a trailing batch without
   // a COMMIT never became visible to Refresh pre-crash and is discarded.

@@ -23,12 +23,14 @@ enum class RecoverMode {
   kRecompute,  // re-materialize every view from the recovered base tables
 };
 
+// How Recover rebuilds the views.
 struct RecoverOptions {
   RecoverMode mode = RecoverMode::kReplay;
   // Refresh worker threads while replaying batches (kReplay only).
   int threads = 1;
 };
 
+// What Recover rebuilt, what it skipped or discarded, and what it cost.
 struct RecoverResult {
   bool ok = false;
   std::string error;
@@ -41,11 +43,9 @@ struct RecoverResult {
   size_t records_discarded = 0;  // valid but after the last COMMIT
 
   // WAL damage report: true when the log ended in a torn or corrupt
-  // record; `wal_valid_bytes` is the clean prefix (truncate the file to
-  // this length before appending again).
+  // record (SegmentedWal::Open truncates it away before appending again).
   bool wal_truncated = false;
   std::string wal_truncate_reason;
-  uint64_t wal_valid_bytes = 0;
 
   // Restart cost, in the Section 6 cost model and wall-clock.
   AccessStats accesses;
@@ -56,11 +56,11 @@ struct RecoverResult {
 // `db`, with no views defined). On success the base tables, views and
 // caches reflect the snapshot plus every complete committed batch of the
 // WAL's valid prefix, and `vm` holds the loaded ∆-script repository,
-// ready for new modifications. `wal_path` may name a single WalWriter
-// file or a SegmentedWal directory (src/persist/wal_set.h).
+// ready for new modifications. `wal_dir` is a SegmentedWal directory
+// (src/persist/wal_set.h).
 RecoverResult Recover(Database* db, ViewManager* vm,
                       const std::string& snapshot_path,
-                      const std::string& wal_path,
+                      const std::string& wal_dir,
                       const RecoverOptions& options = {});
 
 }  // namespace idivm::persist

@@ -50,18 +50,20 @@ std::string WriteSnapshot(const Database& db, const std::string& repository,
   if (fd < 0) {
     return StrCat("cannot create ", tmp, ": ", std::strerror(errno));
   }
+  // Drops the temp file after a failed step.
+  const auto fail = [&](const char* step) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return StrCat(step, " ", tmp, " failed: ", err);
+  };
   size_t done = 0;
   while (done < file.size()) {
     const ssize_t n = ::write(fd, file.data() + done, file.size() - done);
-    if (n < 0) {
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return StrCat("write to ", tmp, " failed: ", err);
-    }
+    if (n < 0) return fail("write to");
     done += static_cast<size_t>(n);
   }
-  ::fsync(fd);
+  if (::fsync(fd) != 0) return fail("fsync of");
   ::close(fd);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     const std::string err = std::strerror(errno);

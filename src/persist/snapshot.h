@@ -18,10 +18,12 @@ namespace idivm::persist {
 
 // Serializes `db` plus `repository` (ViewManager::SerializeRepository) and
 // `last_lsn` (the last WAL LSN the snapshot state reflects) to `path`.
-// Returns "" on success, an error message otherwise.
+// Returns "" on success, an error message otherwise; on error the temp file
+// is gone and any previous snapshot at `path` is untouched.
 std::string WriteSnapshot(const Database& db, const std::string& repository,
                           uint64_t last_lsn, const std::string& path);
 
+// A loaded snapshot's LSN and ∆-script repository, or why it failed.
 struct SnapshotLoadResult {
   bool ok = false;
   std::string error;

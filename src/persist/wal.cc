@@ -18,8 +18,8 @@ namespace {
 constexpr char kWalMagic[4] = {'I', 'D', 'W', 'L'};
 constexpr uint32_t kWalVersion = 1;
 constexpr size_t kWalHeaderBytes = 8;
-// Buffered appends are pushed to the OS once the buffer passes this size
-// even under kNone/kEveryN (bounds memory, not durability).
+// Buffered modification records are pushed to the OS once the buffer
+// passes this size (bounds memory, not durability).
 constexpr size_t kFlushThresholdBytes = 1 << 16;
 
 std::string EncodeRecord(const WalRecord& record) {
@@ -111,57 +111,13 @@ bool DecodeRecord(std::string_view payload, WalRecord* out,
 
 }  // namespace
 
-bool ParseWalSyncPolicy(const std::string& text, WalSyncPolicy* out) {
-  if (text == "none") {
-    *out = WalSyncPolicy::kNone;
-  } else if (text == "on-commit") {
-    *out = WalSyncPolicy::kOnCommit;
-  } else if (text == "every-n") {
-    *out = WalSyncPolicy::kEveryN;
-  } else {
-    return false;
-  }
-  return true;
-}
+WalWriter::WalWriter(std::string path, int fd)
+    : path_(std::move(path)), fd_(fd) {}
 
-const char* WalSyncPolicyName(WalSyncPolicy policy) {
-  switch (policy) {
-    case WalSyncPolicy::kNone:
-      return "none";
-    case WalSyncPolicy::kOnCommit:
-      return "on-commit";
-    case WalSyncPolicy::kEveryN:
-      return "every-n";
-  }
-  return "?";
-}
-
-WalWriter::WalWriter(std::string path, int fd, const WalOptions& options,
-                     uint64_t next_lsn)
-    : path_(std::move(path)), fd_(fd), options_(options),
-      next_lsn_(next_lsn) {}
-
-std::unique_ptr<WalWriter> WalWriter::Open(const std::string& path,
-                                           const WalOptions& options,
-                                           uint64_t next_lsn) {
-  const bool fresh = next_lsn == 1;
-  if (fresh) return Create(path, options, 1);
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return nullptr;
-  std::unique_ptr<WalWriter> writer(
-      new WalWriter(path, fd, options, next_lsn));
-  const off_t size = ::lseek(fd, 0, SEEK_END);
-  writer->bytes_appended_ = size > 0 ? static_cast<uint64_t>(size) : 0;
-  return writer;
-}
-
-std::unique_ptr<WalWriter> WalWriter::Create(const std::string& path,
-                                             const WalOptions& options,
-                                             uint64_t first_lsn) {
+std::unique_ptr<WalWriter> WalWriter::Create(const std::string& path) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return nullptr;
-  std::unique_ptr<WalWriter> writer(
-      new WalWriter(path, fd, options, first_lsn));
+  std::unique_ptr<WalWriter> writer(new WalWriter(path, fd));
   writer->buffer_.append(kWalMagic, sizeof(kWalMagic));
   Encoder enc;
   enc.PutU32(kWalVersion);
@@ -176,87 +132,21 @@ WalWriter::~WalWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-uint64_t WalWriter::AppendRecord(const WalRecord& record) {
+void WalWriter::Append(const WalRecord& record) {
   const size_t before = buffer_.size();
   AppendFrame(EncodeRecord(record), &buffer_);
   bytes_appended_ += buffer_.size() - before;
-  ++records_since_sync_;
   obs::GlobalCounter("idivm_wal_records_total").Increment();
   if (record.type == WalRecordType::kCommit) {
     obs::GlobalCounter("idivm_wal_commits_total").Increment();
   }
-  MaybeSync(record.type);
-  return record.lsn;
-}
-
-void WalWriter::MaybeSync(WalRecordType type) {
-  switch (options_.sync) {
-    case WalSyncPolicy::kNone:
-      break;
-    case WalSyncPolicy::kOnCommit:
-      // Quarantines are incident records that may not be followed by
-      // another commit for a while; make them durable immediately.
-      if (type == WalRecordType::kCommit ||
-          type == WalRecordType::kCheckpoint ||
-          type == WalRecordType::kQuarantine) {
-        Sync();
-      }
-      break;
-    case WalSyncPolicy::kEveryN:
-      if (records_since_sync_ >= options_.every_n ||
-          type == WalRecordType::kCheckpoint) {
-        Sync();
-      }
-      break;
+  if (record.type == WalRecordType::kCommit ||
+      record.type == WalRecordType::kCheckpoint ||
+      record.type == WalRecordType::kQuarantine) {
+    Sync();
+  } else if (buffer_.size() >= kFlushThresholdBytes) {
+    Flush();
   }
-  if (buffer_.size() >= kFlushThresholdBytes) Flush();
-}
-
-uint64_t WalWriter::JournalModification(const std::string& table,
-                                        const Modification& mod) {
-  WalRecord record;
-  switch (mod.kind) {
-    case DiffType::kInsert:
-      record.type = WalRecordType::kInsert;
-      break;
-    case DiffType::kDelete:
-      record.type = WalRecordType::kDelete;
-      break;
-    case DiffType::kUpdate:
-      record.type = WalRecordType::kUpdate;
-      break;
-  }
-  record.lsn = next_lsn_++;
-  record.table = table;
-  record.mod = mod;
-  return AppendRecord(record);
-}
-
-uint64_t WalWriter::JournalCommit() {
-  WalRecord record;
-  record.type = WalRecordType::kCommit;
-  record.lsn = next_lsn_++;
-  return AppendRecord(record);
-}
-
-uint64_t WalWriter::JournalQuarantine(const std::string& view,
-                                      const std::string& reason) {
-  WalRecord record;
-  record.type = WalRecordType::kQuarantine;
-  record.lsn = next_lsn_++;
-  record.table = view;
-  record.quarantine_reason = reason;
-  return AppendRecord(record);
-}
-
-uint64_t WalWriter::JournalCheckpoint(uint64_t snapshot_lsn,
-                                      const std::string& snapshot_path) {
-  WalRecord record;
-  record.type = WalRecordType::kCheckpoint;
-  record.lsn = next_lsn_++;
-  record.snapshot_lsn = snapshot_lsn;
-  record.snapshot_path = snapshot_path;
-  return AppendRecord(record);
 }
 
 void WalWriter::Flush() {
@@ -272,8 +162,8 @@ void WalWriter::Flush() {
 
 void WalWriter::Sync() {
   Flush();
-  ::fsync(fd_);
-  records_since_sync_ = 0;
+  const bool synced = ::fsync(fd_) == 0;
+  IDIVM_CHECK(synced, StrCat("wal fsync failed: ", std::strerror(errno)));
   obs::GlobalCounter("idivm_wal_syncs_total").Increment();
 }
 
@@ -281,55 +171,46 @@ WalReadResult ReadWal(const std::string& path) {
   WalReadResult result;
   std::string file;
   if (!ReadFileToString(path, &file)) {
-    result.error = StrCat("cannot read WAL at ", path);
+    result.damage = StrCat("cannot read WAL at ", path);
     return result;
   }
-  if (file.empty()) {
-    // A log that was never created: valid and empty.
-    result.ok = true;
-    return result;
-  }
+  // A segment whose header never reached the disk: valid and empty.
+  if (file.empty()) return result;
   if (file.size() < kWalHeaderBytes ||
       std::memcmp(file.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-    result.error = StrCat(path, " is not a WAL (bad magic)");
+    result.damage = StrCat(path, " is not a WAL (bad magic)");
     return result;
   }
   {
     Decoder header(std::string_view(file).substr(4, 4));
     const uint32_t version = header.GetU32();
     if (version != kWalVersion) {
-      result.error = StrCat("unsupported WAL version ", version);
+      result.damage = StrCat("unsupported WAL version ", version);
       return result;
     }
   }
-  result.ok = true;
-  result.valid_bytes = kWalHeaderBytes;
   size_t offset = kWalHeaderBytes;
   uint64_t prev_lsn = 0;
   while (true) {
     const FrameResult frame = ReadFrame(file, offset);
     if (frame.status == FrameStatus::kEnd) break;
     if (frame.status != FrameStatus::kOk) {
-      result.truncated = true;
-      result.truncate_reason = frame.error;
+      result.damage = frame.error;
       break;
     }
     WalRecord record;
     std::string error;
     if (!DecodeRecord(frame.payload, &record, &error)) {
-      result.truncated = true;
-      result.truncate_reason = StrCat("undecodable record: ", error);
+      result.damage = StrCat("undecodable record: ", error);
       break;
     }
     if (record.lsn <= prev_lsn) {
-      result.truncated = true;
-      result.truncate_reason =
+      result.damage =
           StrCat("non-monotone LSN ", record.lsn, " after ", prev_lsn);
       break;
     }
     prev_lsn = record.lsn;
     offset = frame.end_offset;
-    result.valid_bytes = offset;
     result.records.push_back(std::move(record));
     result.record_end_offsets.push_back(offset);
   }

@@ -1,11 +1,11 @@
-// Append-only write-ahead log of base-table modifications. A WalWriter is
-// the durable ModificationJournal implementation: every change accepted by
-// the ModificationLogger is journaled here before it mutates a Table, and
-// ViewManager::Refresh journals a COMMIT record delimiting each refresh
-// batch. Recovery (src/persist/recovery) replays the log in COMMIT-
-// delimited batches through the compiled ∆-scripts.
+// The write-ahead log's segment-file format: the records, the writer that
+// appends them to one segment file, and the reader of one segment file. A
+// log is a directory of such segments, journaled and read as one LSN-
+// ordered stream by SegmentedWal and ReadSegmentedWal (wal_set.h); nothing
+// else opens a segment. Recovery (src/persist/recovery) replays the stream
+// in COMMIT-delimited batches through the compiled ∆-scripts.
 //
-// File layout: an 8-byte header (magic "IDWL" + u32 version) followed by
+// Segment layout: an 8-byte header (magic "IDWL" + u32 version) followed by
 // CRC32C-framed records (src/persist/codec). Record payloads carry a
 // monotone LSN, so a reader can both detect torn/corrupt tails (framing)
 // and skip records already covered by a snapshot (LSN).
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/modification_log.h"
 #include "src/diff/compaction.h"
 
 namespace idivm::persist {
@@ -34,6 +33,7 @@ enum class WalRecordType : uint8_t {
   kQuarantine = 6,
 };
 
+// One log record, as journaled and as read back.
 struct WalRecord {
   WalRecordType type = WalRecordType::kCommit;
   uint64_t lsn = 0;
@@ -49,61 +49,26 @@ struct WalRecord {
   std::string quarantine_reason;
 };
 
-// When appended bytes are pushed to the OS and fsynced.
-enum class WalSyncPolicy {
-  kNone,      // buffered; flushed on close (fastest, weakest)
-  kOnCommit,  // flush + fsync at every COMMIT record (default)
-  kEveryN,    // flush + fsync every n records
-};
-
-// Parses "none" / "on-commit" / "every-n"; returns false on anything else.
-bool ParseWalSyncPolicy(const std::string& text, WalSyncPolicy* out);
-const char* WalSyncPolicyName(WalSyncPolicy policy);
-
-struct WalOptions {
-  WalSyncPolicy sync = WalSyncPolicy::kOnCommit;
-  int every_n = 64;  // for kEveryN
-};
-
-class WalWriter : public ModificationJournal {
+// Appends records to one segment file. SegmentedWal creates every writer
+// and assigns the LSNs. Appends are buffered; a COMMIT, CHECKPOINT or
+// QUARANTINE record is flushed and fsynced before Append returns (a
+// quarantine may not be followed by a commit for a while). A failed write
+// or fsync aborts: the journal cannot promise durability past it.
+class WalWriter {
  public:
-  // Creates (truncating any existing file) a log at `path` whose first
-  // record gets `next_lsn`. To append to an existing log, read it first,
-  // truncate the file to its valid prefix, and pass last LSN + 1. Returns
-  // nullptr if the file cannot be opened.
-  static std::unique_ptr<WalWriter> Open(const std::string& path,
-                                         const WalOptions& options = {},
-                                         uint64_t next_lsn = 1);
+  // Creates (truncating any existing file) the segment at `path` and
+  // makes its header durable. Returns nullptr if the file cannot be opened.
+  static std::unique_ptr<WalWriter> Create(const std::string& path);
 
-  // Creates a fresh log (truncating any existing file) whose first record
-  // gets `first_lsn`, which — unlike Open — may be > 1: segment files of a
-  // SegmentedWal (wal_set.h) start mid-sequence. Returns nullptr if the
-  // file cannot be opened.
-  static std::unique_ptr<WalWriter> Create(const std::string& path,
-                                           const WalOptions& options,
-                                           uint64_t first_lsn);
+  ~WalWriter();  // flushes (without fsync) and closes
 
-  ~WalWriter() override;  // flushes (but does not fsync under kNone)
-
-  // ModificationJournal: journals one modification / batch commit /
-  // view quarantine.
-  uint64_t JournalModification(const std::string& table,
-                               const Modification& mod) override;
-  uint64_t JournalCommit() override;
-  uint64_t JournalQuarantine(const std::string& view,
-                             const std::string& reason) override;
-
-  // Journals that a snapshot covering everything up to `snapshot_lsn` was
-  // written at `snapshot_path` (always flushed + fsynced).
-  uint64_t JournalCheckpoint(uint64_t snapshot_lsn,
-                             const std::string& snapshot_path);
+  void Append(const WalRecord& record);
 
   // Pushes buffered appends to the OS.
   void Flush();
   // Flush + fsync.
   void Sync();
 
-  uint64_t last_lsn() const { return next_lsn_ - 1; }
   const std::string& path() const { return path_; }
 
   // File size once buffered appends are flushed (header + every framed
@@ -112,43 +77,31 @@ class WalWriter : public ModificationJournal {
   uint64_t bytes_appended() const { return bytes_appended_; }
 
  private:
-  WalWriter(std::string path, int fd, const WalOptions& options,
-            uint64_t next_lsn);
-
-  uint64_t AppendRecord(const WalRecord& record);
-  void MaybeSync(WalRecordType type);
+  WalWriter(std::string path, int fd);
 
   std::string path_;
   int fd_ = -1;
-  WalOptions options_;
-  uint64_t next_lsn_ = 1;
   std::string buffer_;
-  int records_since_sync_ = 0;
   uint64_t bytes_appended_ = 0;
 };
 
+// The valid records of one segment file (the per-segment step of
+// ReadSegmentedWal).
 struct WalReadResult {
-  bool ok = false;      // file readable and header valid
-  std::string error;    // set when !ok
   std::vector<WalRecord> records;
-  // File offset just past each record, parallel to `records` (the crash
-  // points of the fault-injection tests).
+  // File offset just past each record, parallel to `records`.
   std::vector<uint64_t> record_end_offsets;
-  // True when reading stopped before the end of the file (torn or corrupt
-  // record); `truncate_reason` says why and `valid_bytes` is the length of
-  // the longest valid prefix (header + whole records).
-  bool truncated = false;
-  std::string truncate_reason;
-  uint64_t valid_bytes = 0;
+  // Empty when the whole file was read; otherwise why reading stopped (an
+  // unreadable file, a bad header, or a torn or corrupt record).
+  std::string damage;
 };
 
-// Reads all valid records of the log at `path`, stopping at the first
+// Reads all valid records of the segment at `path`, stopping at the first
 // torn or corrupt record. An LSN that fails to increase monotonically is
-// also treated as corruption.
+// also treated as corruption. An empty file is a valid, empty segment.
 WalReadResult ReadWal(const std::string& path);
 
-// Cuts `path` back to `size` bytes (discarding a torn tail before
-// reopening a log for append). Returns false on I/O error.
+// Cuts `path` back to `size` bytes. Returns false on I/O error.
 bool TruncateFile(const std::string& path, uint64_t size);
 
 }  // namespace idivm::persist

@@ -2,11 +2,9 @@
 
 #include <dirent.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "src/common/check.h"
 #include "src/common/str_util.h"
@@ -72,48 +70,34 @@ bool ListSegments(const std::string& dir, std::vector<WalSegmentInfo>* out,
 
 }  // namespace
 
-bool IsDirectory(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
-
 SegmentedReadResult ReadSegmentedWal(const std::string& dir) {
   SegmentedReadResult result;
   if (!ListSegments(dir, &result.segments, &result.error)) return result;
   result.ok = true;
   uint64_t prev_lsn = 0;
-  for (WalSegmentInfo& segment : result.segments) {
-    if (result.truncated) break;  // later segments sit past the damage
-    const WalReadResult wal = ReadWal(segment.path);
-    if (!wal.ok) {
-      // An unreadable or mis-headed segment is damage, not a hard error:
-      // everything before it already replays.
-      result.truncated = true;
-      result.truncate_reason = wal.error;
-      result.torn_segment = segment.path;
-      result.torn_valid_bytes = 0;
-      break;
+  for (size_t s = 0; s < result.segments.size(); ++s) {
+    WalSegmentInfo& segment = result.segments[s];
+    // An unreadable or mis-headed segment is damage, not a hard error:
+    // everything before it already replays.
+    WalReadResult wal = ReadWal(segment.path);
+    if (!wal.records.empty() && wal.records.front().lsn <= prev_lsn) {
+      // A segment's own records are monotone, so the seam is the damage.
+      wal.damage = StrCat("non-monotone LSN ", wal.records.front().lsn,
+                          " across segment seam ", segment.path, " after ",
+                          prev_lsn);
+      wal.records.clear();
     }
-    for (const WalRecord& record : wal.records) {
-      if (record.lsn <= prev_lsn) {
-        result.truncated = true;
-        result.truncate_reason =
-            StrCat("non-monotone LSN ", record.lsn, " across segment seam ",
-                   segment.path, " after ", prev_lsn);
-        result.torn_segment = segment.path;
-        result.torn_valid_bytes = 8;  // header only: segment starts damaged
-        break;
-      }
-      prev_lsn = record.lsn;
-      segment.last_lsn = record.lsn;
-      result.records.push_back(record);
+    for (size_t r = 0; r < wal.records.size(); ++r) {
+      prev_lsn = wal.records[r].lsn;
+      segment.last_lsn = prev_lsn;
+      result.records.push_back(std::move(wal.records[r]));
+      result.record_ends.push_back(WalPosition{s, wal.record_end_offsets[r]});
     }
-    if (result.truncated) break;
-    if (wal.truncated) {
+    if (!wal.damage.empty()) {
+      // Later segments sit past the damage in append order.
       result.truncated = true;
-      result.truncate_reason = wal.truncate_reason;
+      result.truncate_reason = std::move(wal.damage);
       result.torn_segment = segment.path;
-      result.torn_valid_bytes = wal.valid_bytes;
       break;
     }
   }
@@ -124,108 +108,105 @@ SegmentedWal::SegmentedWal(std::string dir,
                            const SegmentedWalOptions& options)
     : dir_(std::move(dir)), options_(options) {}
 
-std::string SegmentedWal::SegmentPath(uint64_t first_lsn) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "%s%020llu%s", kSegmentPrefix,
-                static_cast<unsigned long long>(first_lsn), kSegmentSuffix);
-  return StrCat(dir_, "/", name);
-}
-
 std::unique_ptr<SegmentedWal> SegmentedWal::Open(
     const std::string& dir, const SegmentedWalOptions& options) {
-  if (!IsDirectory(dir)) return nullptr;
+  SegmentedReadResult read = ReadSegmentedWal(dir);
+  if (!read.ok) return nullptr;
   std::unique_ptr<SegmentedWal> wal(new SegmentedWal(dir, options));
 
-  std::vector<WalSegmentInfo> segments;
-  std::string error;
-  if (!ListSegments(dir, &segments, &error)) return nullptr;
-
-  // Find the resume point: the end of the last record a recovery replay
-  // would honour — a COMMIT, CHECKPOINT or QUARANTINE record. Everything
-  // past it (valid-but-uncommitted tail records, torn records, whole later
-  // segments) is discarded, so a writer resuming here can never diverge
-  // from what Recover() reconstructed from the same directory.
-  size_t boundary_segment = segments.size();  // none found yet
-  uint64_t boundary_bytes = 0;
-  uint64_t boundary_lsn = 0;
-  uint64_t prev_lsn = 0;
-  bool damaged = false;
-  for (size_t i = 0; i < segments.size() && !damaged; ++i) {
-    const WalReadResult read = ReadWal(segments[i].path);
-    if (!read.ok) break;  // unreadable: treat like a torn segment
-    for (size_t r = 0; r < read.records.size(); ++r) {
-      const WalRecord& record = read.records[r];
-      if (record.lsn <= prev_lsn) {
-        damaged = true;  // non-monotone across the seam
-        break;
-      }
-      prev_lsn = record.lsn;
-      if (record.type == WalRecordType::kCommit ||
-          record.type == WalRecordType::kCheckpoint ||
-          record.type == WalRecordType::kQuarantine) {
-        boundary_segment = i;
-        boundary_bytes = read.record_end_offsets[r];
-        boundary_lsn = record.lsn;
-      }
+  // Resume after the last record a recovery replay would honour — a
+  // COMMIT, CHECKPOINT or QUARANTINE record. Everything past it (valid-
+  // but-uncommitted tail records, torn records, whole later segments) is
+  // discarded, so a writer resuming here can never diverge from what
+  // Recover() reconstructed from the same directory. With no such record
+  // anywhere the directory starts over at LSN 1.
+  size_t keep = 0;  // segments kept: those up to the boundary's
+  for (size_t r = read.records.size(); r-- > 0;) {
+    const WalRecord& record = read.records[r];
+    if (record.type == WalRecordType::kInsert ||
+        record.type == WalRecordType::kDelete ||
+        record.type == WalRecordType::kUpdate) {
+      continue;
     }
-    if (read.truncated) break;  // torn tail: stop scanning forward
-  }
-
-  if (boundary_segment == segments.size()) {
-    // No committed batch anywhere: start the directory over.
-    for (const WalSegmentInfo& segment : segments) {
-      std::remove(segment.path.c_str());
+    const WalPosition end = read.record_ends[r];
+    WalSegmentInfo& boundary = read.segments[end.segment];
+    if (end.offset < boundary.bytes &&
+        !TruncateFile(boundary.path, end.offset)) {
+      return nullptr;
     }
-    wal->active_first_lsn_ = 1;
-    wal->active_ = WalWriter::Create(wal->SegmentPath(1), options.wal, 1);
-    if (wal->active_ == nullptr) return nullptr;
-    return wal;
+    boundary.bytes = end.offset;
+    boundary.last_lsn = record.lsn;
+    wal->next_lsn_ = record.lsn + 1;
+    keep = end.segment + 1;
+    break;
   }
-
-  WalSegmentInfo& resume = segments[boundary_segment];
-  if (boundary_bytes < FileBytes(resume.path) &&
-      !TruncateFile(resume.path, boundary_bytes)) {
-    return nullptr;
+  for (size_t i = keep; i < read.segments.size(); ++i) {
+    std::remove(read.segments[i].path.c_str());
   }
-  resume.bytes = boundary_bytes;
-  resume.last_lsn = boundary_lsn;
-  for (size_t i = boundary_segment + 1; i < segments.size(); ++i) {
-    std::remove(segments[i].path.c_str());
-  }
-
-  for (size_t i = 0; i < boundary_segment; ++i) {
-    // Closed segments: last_lsn is the record before the next segment's
-    // first (needed only for TruncateBefore's coverage test).
-    segments[i].last_lsn = segments[i + 1].first_lsn - 1;
-    wal->closed_.push_back(segments[i]);
-  }
-  wal->active_first_lsn_ = resume.first_lsn;
-  wal->active_ =
-      WalWriter::Open(resume.path, options.wal, boundary_lsn + 1);
+  read.segments.resize(keep);
+  wal->closed_ = std::move(read.segments);
+  wal->StartSegment();
   if (wal->active_ == nullptr) return nullptr;
   return wal;
 }
 
+void SegmentedWal::StartSegment() {
+  char name[64];
+  std::snprintf(name, sizeof(name), "%s%020llu%s", kSegmentPrefix,
+                static_cast<unsigned long long>(next_lsn_), kSegmentSuffix);
+  active_first_lsn_ = next_lsn_;
+  active_ = WalWriter::Create(StrCat(dir_, "/", name));
+}
+
+uint64_t SegmentedWal::Append(WalRecord record) {
+  record.lsn = next_lsn_++;
+  active_->Append(record);
+  return record.lsn;
+}
+
 uint64_t SegmentedWal::JournalModification(const std::string& table,
                                            const Modification& mod) {
-  return active_->JournalModification(table, mod);
+  WalRecord record;
+  switch (mod.kind) {
+    case DiffType::kInsert:
+      record.type = WalRecordType::kInsert;
+      break;
+    case DiffType::kDelete:
+      record.type = WalRecordType::kDelete;
+      break;
+    case DiffType::kUpdate:
+      record.type = WalRecordType::kUpdate;
+      break;
+  }
+  record.table = table;
+  record.mod = mod;
+  return Append(std::move(record));
 }
 
 uint64_t SegmentedWal::JournalCommit() {
-  const uint64_t lsn = active_->JournalCommit();
+  WalRecord record;
+  record.type = WalRecordType::kCommit;
+  const uint64_t lsn = Append(std::move(record));
   MaybeRotate();
   return lsn;
 }
 
 uint64_t SegmentedWal::JournalQuarantine(const std::string& view,
                                          const std::string& reason) {
-  return active_->JournalQuarantine(view, reason);
+  WalRecord record;
+  record.type = WalRecordType::kQuarantine;
+  record.table = view;
+  record.quarantine_reason = reason;
+  return Append(std::move(record));
 }
 
 uint64_t SegmentedWal::JournalCheckpoint(uint64_t snapshot_lsn,
                                          const std::string& snapshot_path) {
-  const uint64_t lsn = active_->JournalCheckpoint(snapshot_lsn,
-                                                  snapshot_path);
+  WalRecord record;
+  record.type = WalRecordType::kCheckpoint;
+  record.snapshot_lsn = snapshot_lsn;
+  record.snapshot_path = snapshot_path;
+  const uint64_t lsn = Append(std::move(record));
   MaybeRotate();
   return lsn;
 }
@@ -237,19 +218,16 @@ void SegmentedWal::MaybeRotate() {
 }
 
 bool SegmentedWal::Rotate() {
-  const uint64_t last = active_->last_lsn();
-  if (last < active_first_lsn_) return false;  // no records yet
+  if (next_lsn_ == active_first_lsn_) return false;  // no records yet
   active_->Sync();
   WalSegmentInfo info;
   info.path = active_->path();
   info.first_lsn = active_first_lsn_;
-  info.last_lsn = last;
+  info.last_lsn = last_lsn();
   info.bytes = active_->bytes_appended();
   active_.reset();  // close before the new segment opens
   closed_.push_back(std::move(info));
-  active_first_lsn_ = last + 1;
-  active_ = WalWriter::Create(SegmentPath(active_first_lsn_), options_.wal,
-                              active_first_lsn_);
+  StartSegment();
   IDIVM_CHECK(active_ != nullptr,
               StrCat("cannot open WAL segment in ", dir_));
   obs::GlobalCounter("idivm_wal_rotations_total").Increment();
@@ -291,8 +269,7 @@ std::vector<WalSegmentInfo> SegmentedWal::Segments() const {
   WalSegmentInfo active;
   active.path = active_->path();
   active.first_lsn = active_first_lsn_;
-  active.last_lsn =
-      active_->last_lsn() >= active_first_lsn_ ? active_->last_lsn() : 0;
+  active.last_lsn = last_lsn() >= active_first_lsn_ ? last_lsn() : 0;
   active.bytes = active_->bytes_appended();
   out.push_back(std::move(active));
   return out;

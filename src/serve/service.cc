@@ -26,7 +26,8 @@ Clock::duration FromSeconds(double seconds) {
 
 bool EnsureDirectory(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) == 0) return true;
-  return persist::IsDirectory(path);
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
 }
 
 }  // namespace

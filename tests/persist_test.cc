@@ -1,8 +1,11 @@
 // Unit and integration tests for the durability subsystem: codec framing,
-// WAL round-trips and sync policies, snapshot atomicity, and snapshot +
+// WAL round-trips and damage detection, snapshot atomicity, and snapshot +
 // WAL-replay recovery through the compiled ∆-scripts.
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 
 #include "gtest/gtest.h"
 #include "src/common/str_util.h"
@@ -11,7 +14,7 @@
 #include "src/persist/fault.h"
 #include "src/persist/recovery.h"
 #include "src/persist/snapshot.h"
-#include "src/persist/wal.h"
+#include "src/persist/wal_set.h"
 #include "tests/test_util.h"
 
 namespace idivm {
@@ -23,21 +26,37 @@ using persist::Encoder;
 using persist::FaultFile;
 using persist::FrameStatus;
 using persist::LoadSnapshotInto;
-using persist::ReadWal;
+using persist::ReadSegmentedWal;
 using persist::Recover;
 using persist::RecoverMode;
 using persist::RecoverOptions;
 using persist::RecoverResult;
+using persist::SegmentedReadResult;
+using persist::SegmentedWal;
 using persist::SnapshotLoadResult;
-using persist::WalOptions;
-using persist::WalReadResult;
 using persist::WalRecordType;
-using persist::WalSyncPolicy;
-using persist::WalWriter;
+using persist::WalSegmentInfo;
 using persist::WriteSnapshot;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "idivm_persist_" + name;
+}
+
+// A fresh (emptied) directory for a WAL: SegmentedWal::Open resumes any
+// log it finds.
+std::string FreshWalDir(const std::string& name) {
+  const std::string dir = TempPath(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
+  return dir;
+}
+
+// `dir`'s only segment, after checking that it is the only one.
+WalSegmentInfo OnlySegment(const std::string& dir) {
+  const SegmentedReadResult read = ReadSegmentedWal(dir);
+  EXPECT_TRUE(read.ok) << read.error;
+  EXPECT_EQ(read.segments.size(), 1u);
+  return read.segments.empty() ? WalSegmentInfo{} : read.segments.front();
 }
 
 TEST(CodecTest, Crc32cKnownVector) {
@@ -136,9 +155,9 @@ Modification MakeInsert(Row post) {
 }
 
 TEST(WalTest, RoundTripAllRecordTypes) {
-  const std::string path = TempPath("wal_roundtrip.wal");
+  const std::string dir = FreshWalDir("wal_roundtrip");
   {
-    auto wal = WalWriter::Open(path);
+    auto wal = SegmentedWal::Open(dir);
     ASSERT_NE(wal, nullptr);
     EXPECT_EQ(wal->JournalModification(
                   "parts", MakeInsert({Value("P9"), Value(1.5)})),
@@ -154,12 +173,14 @@ TEST(WalTest, RoundTripAllRecordTypes) {
     EXPECT_EQ(wal->JournalModification("parts", upd), 3u);
     EXPECT_EQ(wal->JournalCommit(), 4u);
     EXPECT_EQ(wal->JournalCheckpoint(4, "/some/snapshot"), 5u);
-    EXPECT_EQ(wal->last_lsn(), 5u);
+    EXPECT_EQ(wal->JournalQuarantine("v", "epoch failed"), 6u);
+    EXPECT_EQ(wal->last_lsn(), 6u);
   }
-  const WalReadResult read = ReadWal(path);
+  const SegmentedReadResult read = ReadSegmentedWal(dir);
   ASSERT_TRUE(read.ok) << read.error;
   EXPECT_FALSE(read.truncated);
-  ASSERT_EQ(read.records.size(), 5u);
+  ASSERT_EQ(read.segments.size(), 1u);  // a log that never rotated
+  ASSERT_EQ(read.records.size(), 6u);
   EXPECT_EQ(read.records[0].type, WalRecordType::kInsert);
   EXPECT_EQ(read.records[0].table, "parts");
   EXPECT_EQ(read.records[0].mod.post[0].AsString(), "P9");
@@ -170,111 +191,102 @@ TEST(WalTest, RoundTripAllRecordTypes) {
   EXPECT_EQ(read.records[4].type, WalRecordType::kCheckpoint);
   EXPECT_EQ(read.records[4].snapshot_lsn, 4u);
   EXPECT_EQ(read.records[4].snapshot_path, "/some/snapshot");
+  EXPECT_EQ(read.records[5].type, WalRecordType::kQuarantine);
+  EXPECT_EQ(read.records[5].table, "v");
+  EXPECT_EQ(read.records[5].quarantine_reason, "epoch failed");
+  ASSERT_EQ(read.record_ends.size(), read.records.size());
   for (size_t i = 0; i < read.records.size(); ++i) {
     EXPECT_EQ(read.records[i].lsn, i + 1);
-  }
-}
-
-TEST(WalTest, SyncPoliciesProduceIdenticalLogs) {
-  auto write_with = [](const std::string& path, WalOptions options) {
-    auto wal = WalWriter::Open(path, options);
-    ASSERT_NE(wal, nullptr);
-    for (int i = 0; i < 10; ++i) {
-      wal->JournalModification(
-          "t", MakeInsert({Value(int64_t{i}), Value(i * 1.0)}));
-      if (i % 3 == 2) wal->JournalCommit();
+    EXPECT_EQ(read.record_ends[i].segment, 0u);
+    if (i > 0) {
+      EXPECT_GT(read.record_ends[i].offset, read.record_ends[i - 1].offset);
     }
-  };
-  const std::string none = TempPath("wal_sync_none.wal");
-  const std::string commit = TempPath("wal_sync_commit.wal");
-  const std::string every = TempPath("wal_sync_every.wal");
-  write_with(none, WalOptions{.sync = WalSyncPolicy::kNone});
-  write_with(commit, WalOptions{.sync = WalSyncPolicy::kOnCommit});
-  write_with(every,
-             WalOptions{.sync = WalSyncPolicy::kEveryN, .every_n = 2});
-  std::string a, b, c;
-  ASSERT_TRUE(persist::ReadFileToString(none, &a));
-  ASSERT_TRUE(persist::ReadFileToString(commit, &b));
-  ASSERT_TRUE(persist::ReadFileToString(every, &c));
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
-}
-
-TEST(WalTest, ParseSyncPolicy) {
-  WalSyncPolicy policy;
-  EXPECT_TRUE(persist::ParseWalSyncPolicy("none", &policy));
-  EXPECT_EQ(policy, WalSyncPolicy::kNone);
-  EXPECT_TRUE(persist::ParseWalSyncPolicy("on-commit", &policy));
-  EXPECT_EQ(policy, WalSyncPolicy::kOnCommit);
-  EXPECT_TRUE(persist::ParseWalSyncPolicy("every-n", &policy));
-  EXPECT_EQ(policy, WalSyncPolicy::kEveryN);
-  EXPECT_FALSE(persist::ParseWalSyncPolicy("fsync-sometimes", &policy));
+  }
+  EXPECT_EQ(read.record_ends.back().offset, read.segments[0].bytes);
 }
 
 TEST(WalTest, TornTailTruncatesAtLastValidRecord) {
-  const std::string path = TempPath("wal_torn.wal");
+  const std::string dir = FreshWalDir("wal_torn");
   {
-    auto wal = WalWriter::Open(path);
+    auto wal = SegmentedWal::Open(dir);
+    ASSERT_NE(wal, nullptr);
     for (int i = 0; i < 5; ++i) {
       wal->JournalModification(
           "t", MakeInsert({Value(int64_t{i}), Value("payload")}));
     }
     wal->JournalCommit();
   }
-  const WalReadResult full = ReadWal(path);
+  const SegmentedReadResult full = ReadSegmentedWal(dir);
   ASSERT_TRUE(full.ok);
   ASSERT_EQ(full.records.size(), 6u);
 
   // Cut 3 bytes into the last record.
-  FaultFile fault(path, TempPath("wal_torn_scratch.wal"));
-  const WalReadResult torn =
-      ReadWal(fault.TruncatedAt(full.record_end_offsets[4] + 3));
+  const WalSegmentInfo segment = OnlySegment(dir);
+  FaultFile fault(segment.path, segment.path);
+  fault.TruncatedAt(full.record_ends[4].offset + 3);
+  const SegmentedReadResult torn = ReadSegmentedWal(dir);
   ASSERT_TRUE(torn.ok);
   EXPECT_TRUE(torn.truncated);
   EXPECT_NE(torn.truncate_reason.find("torn"), std::string::npos);
-  EXPECT_EQ(torn.records.size(), 5u);
-  EXPECT_EQ(torn.valid_bytes, full.record_end_offsets[4]);
+  EXPECT_EQ(torn.torn_segment, segment.path);
+  ASSERT_EQ(torn.records.size(), 5u);
+  EXPECT_EQ(torn.record_ends.back().offset, full.record_ends[4].offset);
 }
 
 TEST(WalTest, BitFlipTruncatesAtCorruptRecord) {
-  const std::string path = TempPath("wal_flip.wal");
+  const std::string dir = FreshWalDir("wal_flip");
   {
-    auto wal = WalWriter::Open(path);
+    auto wal = SegmentedWal::Open(dir);
+    ASSERT_NE(wal, nullptr);
     for (int i = 0; i < 4; ++i) {
       wal->JournalModification(
           "t", MakeInsert({Value(int64_t{i}), Value("some payload here")}));
     }
   }
-  const WalReadResult full = ReadWal(path);
+  const SegmentedReadResult full = ReadSegmentedWal(dir);
   ASSERT_EQ(full.records.size(), 4u);
-  FaultFile fault(path, TempPath("wal_flip_scratch.wal"));
   // Flip a bit in the third record's payload.
-  const WalReadResult flipped =
-      ReadWal(fault.WithBitFlip(full.record_end_offsets[2] - 5, 3));
+  const WalSegmentInfo segment = OnlySegment(dir);
+  FaultFile fault(segment.path, segment.path);
+  fault.WithBitFlip(full.record_ends[2].offset - 5, 3);
+  const SegmentedReadResult flipped = ReadSegmentedWal(dir);
   ASSERT_TRUE(flipped.ok);
   EXPECT_TRUE(flipped.truncated);
-  EXPECT_EQ(flipped.records.size(), 2u);
-  EXPECT_EQ(flipped.valid_bytes, full.record_end_offsets[1]);
+  ASSERT_EQ(flipped.records.size(), 2u);
+  EXPECT_EQ(flipped.record_ends.back().offset, full.record_ends[1].offset);
 }
 
 TEST(WalTest, EmptyOrMissingFileIsValidEmptyLog) {
-  const WalReadResult missing = ReadWal(TempPath("wal_never_created.wal"));
+  const SegmentedReadResult missing =
+      ReadSegmentedWal(TempPath("wal_never_created"));
   EXPECT_FALSE(missing.ok);  // unreadable is an error, not an empty log
-  const std::string path = TempPath("wal_empty.wal");
-  std::fclose(std::fopen(path.c_str(), "wb"));
-  const WalReadResult empty = ReadWal(path);
+  const std::string dir = FreshWalDir("wal_empty");
+  const SegmentedReadResult empty = ReadSegmentedWal(dir);
   EXPECT_TRUE(empty.ok);
   EXPECT_TRUE(empty.records.empty());
+  // A segment whose header never reached the disk holds no records.
+  const std::string segment = dir + "/seg-00000000000000000001.wal";
+  std::fclose(std::fopen(segment.c_str(), "wb"));
+  const SegmentedReadResult headerless = ReadSegmentedWal(dir);
+  EXPECT_TRUE(headerless.ok);
+  EXPECT_FALSE(headerless.truncated);
+  EXPECT_TRUE(headerless.records.empty());
 }
 
 TEST(WalTest, GarbageFileRejected) {
-  const std::string path = TempPath("wal_garbage.wal");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  const std::string dir = FreshWalDir("wal_garbage");
+  const std::string segment = dir + "/seg-00000000000000000001.wal";
+  std::FILE* f = std::fopen(segment.c_str(), "wb");
   std::fputs("this is not a wal at all, not even close", f);
   std::fclose(f);
-  const WalReadResult read = ReadWal(path);
-  EXPECT_FALSE(read.ok);
-  EXPECT_NE(read.error.find("magic"), std::string::npos);
+  // A segment with a bad header is damage: nothing in it or after it is
+  // read.
+  const SegmentedReadResult read = ReadSegmentedWal(dir);
+  ASSERT_TRUE(read.ok) << read.error;
+  EXPECT_TRUE(read.truncated);
+  EXPECT_TRUE(read.records.empty());
+  EXPECT_EQ(read.torn_segment, segment);
+  EXPECT_NE(read.truncate_reason.find("magic"), std::string::npos);
 }
 
 TEST(SnapshotTest, RoundTripTablesRepositoryAndLsn) {
@@ -323,6 +335,32 @@ TEST(SnapshotTest, WriteIsAtomicAndDetectsCorruption) {
   EXPECT_NE(bad.error.find("damaged"), std::string::npos);
 }
 
+TEST(SnapshotTest, FsyncFailureIsReported) {
+  Database db;
+  testing::LoadRunningExample(&db);
+  const std::string path = TempPath("snap_fsync.bin");
+  ASSERT_EQ(WriteSnapshot(db, "", 7, path), "");
+  std::string before;
+  ASSERT_TRUE(persist::ReadFileToString(path, &before));
+
+  // The temp file is a symlink to /dev/null, where writes succeed and
+  // fsync fails (EINVAL): the write must fail and leave `path` alone.
+  const std::string tmp = path + ".tmp";
+  std::remove(tmp.c_str());
+  ASSERT_EQ(::symlink("/dev/null", tmp.c_str()), 0);
+  const std::string error = WriteSnapshot(db, "", 8, path);
+  EXPECT_NE(error.find("fsync"), std::string::npos) << error;
+  EXPECT_FALSE(std::filesystem::is_symlink(tmp));
+  EXPECT_FALSE(std::filesystem::is_symlink(path));
+  std::string after;
+  ASSERT_TRUE(persist::ReadFileToString(path, &after));
+  EXPECT_EQ(after, before);
+  Database restored;
+  const SnapshotLoadResult loaded = LoadSnapshotInto(&restored, path);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_EQ(loaded.last_lsn, 7u);
+}
+
 // ---- End-to-end recovery on the running example ---------------------------
 
 class RecoveryTest : public ::testing::Test {
@@ -332,13 +370,13 @@ class RecoveryTest : public ::testing::Test {
   // "the process then crashes".
   void RunWorkload(const std::string& tag, int batches) {
     snapshot_path_ = TempPath("rec_" + tag + ".snap");
-    wal_path_ = TempPath("rec_" + tag + ".wal");
+    wal_dir_ = FreshWalDir("rec_" + tag + "_wal");
     db_ = std::make_unique<Database>();
     testing::LoadRunningExample(db_.get());
     manager_ = std::make_unique<ViewManager>(db_.get());
     manager_->DefineView("v", testing::RunningExampleSpjPlan(*db_));
     manager_->DefineView("vp", testing::RunningExampleAggPlan(*db_));
-    wal_ = WalWriter::Open(wal_path_);
+    wal_ = SegmentedWal::Open(wal_dir_);
     ASSERT_NE(wal_, nullptr);
     ASSERT_EQ(
         WriteSnapshot(*db_, manager_->SerializeRepository(), 0,
@@ -360,19 +398,19 @@ class RecoveryTest : public ::testing::Test {
       ++next_part;
       manager_->Refresh();
     }
-    wal_->Flush();
+    wal_->Sync();
   }
 
   RecoverResult RecoverInto(Database* db, ViewManager* vm,
                             RecoverOptions options = {}) {
-    return Recover(db, vm, snapshot_path_, wal_path_, options);
+    return Recover(db, vm, snapshot_path_, wal_dir_, options);
   }
 
   std::string snapshot_path_;
-  std::string wal_path_;
+  std::string wal_dir_;
   std::unique_ptr<Database> db_;
   std::unique_ptr<ViewManager> manager_;
-  std::unique_ptr<WalWriter> wal_;
+  std::unique_ptr<SegmentedWal> wal_;
 };
 
 TEST_F(RecoveryTest, ReplayRestoresViewsExactly) {
@@ -427,7 +465,7 @@ TEST_F(RecoveryTest, UncommittedTailIsDiscarded) {
   // Journal two more modifications with no COMMIT behind them.
   manager_->Insert("parts", {Value("P500"), Value(1.0)});
   manager_->Update("parts", {Value("P1")}, {"price"}, {Value(99.0)});
-  wal_->Flush();
+  wal_->Sync();
 
   Database db2;
   ViewManager vm2(&db2);
@@ -473,7 +511,7 @@ TEST_F(RecoveryTest, MissingSnapshotReportsError) {
   Database db2;
   ViewManager vm2(&db2);
   const RecoverResult result =
-      Recover(&db2, &vm2, TempPath("no_such.snap"), wal_path_);
+      Recover(&db2, &vm2, TempPath("no_such.snap"), wal_dir_);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("cannot read"), std::string::npos);
 }

@@ -1,11 +1,13 @@
 // SegmentedWal edge cases: rotation at batch boundaries, truncation
 // exactly at a COMMIT boundary, snapshot failure leaving every segment
 // intact, resume-after-crash truncating back to the last batch boundary,
-// and recovery replaying across segment seams.
+// a segment fsync failure, and recovery replaying across segment seams.
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -15,7 +17,6 @@
 #include "src/persist/fault.h"
 #include "src/persist/recovery.h"
 #include "src/persist/snapshot.h"
-#include "src/persist/wal.h"
 #include "src/persist/wal_set.h"
 #include "src/storage/database.h"
 #include "tests/test_util.h"
@@ -24,7 +25,6 @@ namespace idivm {
 namespace {
 
 using persist::FaultFile;
-using persist::IsDirectory;
 using persist::ReadSegmentedWal;
 using persist::Recover;
 using persist::RecoverResult;
@@ -214,6 +214,11 @@ TEST(WalSegmentTest, ReopenDiscardsUncommittedTail) {
   wal = SegmentedWal::Open(dir);
   ASSERT_NE(wal, nullptr);
   EXPECT_EQ(wal->last_lsn(), commit);
+  // The cut segment is closed at the COMMIT; appends go to a fresh one.
+  const std::vector<WalSegmentInfo> segments = wal->Segments();
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments[0].last_lsn, commit);
+  EXPECT_EQ(segments[1].first_lsn, commit + 1);
   const uint64_t next_commit = AppendBatch(wal.get(), 1, 200);
   EXPECT_EQ(next_commit, commit + 2);
   wal.reset();
@@ -288,6 +293,22 @@ TEST(WalSegmentTest, CorruptMiddleSegmentStopsTheReadAtTheDamage) {
   }
 }
 
+TEST(WalSegmentTest, SegmentFsyncFailureAborts) {
+  const std::string dir = FreshDir("fsync_failure");
+  auto wal = SegmentedWal::Open(dir);
+  ASSERT_NE(wal, nullptr);
+  const uint64_t commit = AppendBatch(wal.get(), 2, 0);
+
+  // The next segment's name is a symlink to /dev/null, where writes
+  // succeed and fsync fails (EINVAL). A journal that cannot make its new
+  // segment durable must stop, not carry on as if it had.
+  char name[64];
+  std::snprintf(name, sizeof(name), "/seg-%020llu.wal",
+                static_cast<unsigned long long>(commit + 1));
+  ASSERT_EQ(::symlink("/dev/null", (dir + name).c_str()), 0);
+  EXPECT_DEATH(wal->Rotate(), "fsync");
+}
+
 // End-to-end: a run journaled across several segments (snapshot mid-way,
 // checkpoint, truncation) recovers to views identical to recompute, with
 // replay crossing the segment seams.
@@ -338,7 +359,6 @@ TEST(WalSegmentTest, RecoveryReplaysAcrossSegmentSeams) {
     wal.reset();
   }
 
-  ASSERT_TRUE(IsDirectory(wal_dir));
   Database db2;
   ViewManager vm2(&db2);
   const RecoverResult result = Recover(&db2, &vm2, snapshot, wal_dir);
