@@ -8,7 +8,8 @@
 // views diverge from recompute ("torn views"), when the live WAL exceeds
 // its configured bound, or when recovery after the mid-run crash fails.
 //
-//   bench_streaming --duration-s 60 --rate 2000 --policy coalesce \
+// For example, on one command line:
+//   bench_streaming --duration-s 60 --rate 2000 --policy coalesce
 //     --inject-fault-rate 0.02 --crash-at-s 20 --metrics-out metrics.txt
 
 #include <algorithm>

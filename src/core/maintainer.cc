@@ -172,10 +172,14 @@ Status Maintainer::TryMaintain(
   const bool compiles = program_ == nullptr;
   const int64_t compile_start_us = trace != nullptr ? trace->NowMicros() : 0;
   if (compiles) {
-    obs::GlobalCounter("idivm_program_cache_misses_total").Increment();
+    static obs::Counter& misses =
+        obs::GlobalCounter("idivm_program_cache_misses_total");
+    misses.Increment();
     program_ = exec::CompileProgram(view_, *db_);
   } else {
-    obs::GlobalCounter("idivm_program_cache_hits_total").Increment();
+    static obs::Counter& hits =
+        obs::GlobalCounter("idivm_program_cache_hits_total");
+    hits.Increment();
   }
   const int64_t compile_end_us = trace != nullptr ? trace->NowMicros() : 0;
   const exec::CompiledProgram& program = *program_;
@@ -206,7 +210,9 @@ Status Maintainer::TryMaintain(
     // ViewManager's degradation ladder records it single-threaded, so
     // concurrent per-view failures never race on the shared counters.
     undo.RollBack();
-    obs::GlobalCounter("idivm_epoch_failures_total").Increment();
+    static obs::Counter& failures =
+        obs::GlobalCounter("idivm_epoch_failures_total");
+    failures.Increment();
     if (trace != nullptr) {
       // The failed epoch published nothing, so its span carries no
       // AccessStats; per-rule spans are dropped for the same reason.
@@ -237,6 +243,12 @@ Status Maintainer::TryMaintain(
   // totals whatever the execution interleaving was.
   // Set IDIVM_TRACE_STEPS=1 to print per-step access costs (debugging).
   static const bool trace_env = std::getenv("IDIVM_TRACE_STEPS") != nullptr;
+  if (rule_counters_.empty()) {
+    for (const StepAccess& step : steps) {
+      rule_counters_.push_back(&obs::GlobalCounter(
+          obs::RuleAccessCounterName(view_.view_name, step.label)));
+    }
+  }
   AccessStats epoch_accesses = setup_accesses;
   for (size_t i = 0; i < n; ++i) {
     PhaseCost cost;
@@ -248,9 +260,7 @@ Status Maintainer::TryMaintain(
                    cost.accesses.ToString().c_str());
     }
     epoch_accesses += cost.accesses;
-    obs::GlobalCounter(
-        obs::RuleAccessCounterName(view_.view_name, steps[i].label))
-        .Increment(cost.accesses.TotalAccesses());
+    rule_counters_[i]->Increment(cost.accesses.TotalAccesses());
     if (trace != nullptr) {
       obs::TraceSpan span;
       span.name = steps[i].label;
@@ -295,10 +305,15 @@ Status Maintainer::TryMaintain(
         break;
     }
   }
-  obs::GlobalCounter("idivm_epochs_total").Increment();
-  obs::GlobalHistogram("idivm_epoch_seconds").Observe(result.TotalSeconds());
-  obs::GlobalHistogram("idivm_epoch_accesses")
-      .Observe(static_cast<double>(epoch_accesses.TotalAccesses()));
+  static obs::Counter& epochs = obs::GlobalCounter("idivm_epochs_total");
+  static obs::Histogram& epoch_seconds =
+      obs::GlobalHistogram("idivm_epoch_seconds");
+  static obs::Histogram& epoch_access_count =
+      obs::GlobalHistogram("idivm_epoch_accesses");
+  epochs.Increment();
+  epoch_seconds.Observe(result.TotalSeconds());
+  epoch_access_count.Observe(
+      static_cast<double>(epoch_accesses.TotalAccesses()));
   if (trace != nullptr) {
     obs::TraceSpan setup_span;
     setup_span.name = StrCat("setup ", view_.view_name);

@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/compose.h"
 #include "src/core/modification_log.h"
@@ -39,6 +40,10 @@ namespace idivm {
 namespace exec {
 struct CompiledProgram;
 }  // namespace exec
+
+namespace obs {
+class Counter;
+}  // namespace obs
 
 struct PhaseCost {
   AccessStats accesses;
@@ -151,6 +156,11 @@ class Maintainer {
   // maintainers, so a kept program never outlives the schemas it was
   // compiled against.
   std::shared_ptr<const exec::CompiledProgram> program_;
+  // The program's per-rule counters, idivm_rule_accesses_total{view,rule},
+  // one per step. Bound by the first committed epoch — a failed epoch
+  // registers none, as when each was looked up at its increment — and held:
+  // the registry never erases a metric.
+  std::vector<obs::Counter*> rule_counters_;
 };
 
 }  // namespace idivm

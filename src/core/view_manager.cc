@@ -279,7 +279,8 @@ Status ViewManager::TryRefresh(const RefreshOptions& options,
       options.trace != nullptr ? options.trace : obs::GlobalTrace();
   const int64_t refresh_start_us = trace != nullptr ? trace->NowMicros() : 0;
   const AccessStats refresh_before = db_->stats();
-  obs::GlobalCounter("idivm_refreshes_total").Increment();
+  static obs::Counter& refreshes = obs::GlobalCounter("idivm_refreshes_total");
+  refreshes.Increment();
 
   // Views in service this round, definition order.
   std::vector<size_t> active;

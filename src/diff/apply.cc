@@ -89,7 +89,12 @@ Status TryApplyUpdate(const DiffSchema& schema, const Relation& data,
     if (touched == 0) ++result.dummy_tuples;
     if (undo->active()) {
       for (size_t i = 0; i < pre.size(); ++i) {
-        undo->Add(Modification{DiffType::kUpdate, pre[i], post[i]});
+        if (returning != nullptr) {
+          undo->Add(Modification{DiffType::kUpdate, pre[i], post[i]});
+        } else {  // the images exist only for undo: hand them over
+          undo->Add(Modification{DiffType::kUpdate, std::move(pre[i]),
+                                 std::move(post[i])});
+        }
       }
     }
     if (returning != nullptr) {
@@ -177,8 +182,12 @@ Status TryApplyDelete(const DiffSchema& schema, const Relation& data,
     result.rows_touched += static_cast<int64_t>(touched);
     if (touched == 0) ++result.dummy_tuples;
     if (undo->active()) {
-      for (const Row& r : pre) {
-        undo->Add(Modification{DiffType::kDelete, r, Row()});
+      for (Row& r : pre) {
+        if (returning != nullptr) {
+          undo->Add(Modification{DiffType::kDelete, r, Row()});
+        } else {  // the image exists only for undo: hand it over
+          undo->Add(Modification{DiffType::kDelete, std::move(r), Row()});
+        }
       }
     }
     if (returning != nullptr) {
@@ -214,13 +223,16 @@ Status TryApplyDiff(const DiffSchema& schema, const Relation& data,
     // fired at the batch boundary still leaves the applied rows undoable.
   }
   // Metrics count attempted apply work; a later epoch rollback does not
-  // subtract it (docs/OBSERVABILITY.md).
-  obs::GlobalCounter("idivm_apply_diff_tuples_total")
-      .Increment(out->diff_tuples - before.diff_tuples);
-  obs::GlobalCounter("idivm_apply_rows_touched_total")
-      .Increment(out->rows_touched - before.rows_touched);
-  obs::GlobalCounter("idivm_apply_dummy_tuples_total")
-      .Increment(out->dummy_tuples - before.dummy_tuples);
+  // subtract it (docs/OBSERVABILITY.md). Bound on the first APPLY.
+  static obs::Counter& diff_tuples =
+      obs::GlobalCounter("idivm_apply_diff_tuples_total");
+  static obs::Counter& rows_touched =
+      obs::GlobalCounter("idivm_apply_rows_touched_total");
+  static obs::Counter& dummy_tuples =
+      obs::GlobalCounter("idivm_apply_dummy_tuples_total");
+  diff_tuples.Increment(out->diff_tuples - before.diff_tuples);
+  rows_touched.Increment(out->rows_touched - before.rows_touched);
+  dummy_tuples.Increment(out->dummy_tuples - before.dummy_tuples);
   if (status.ok() && fault != nullptr) {
     IDIVM_RETURN_IF_ERROR(
         fault->Check(StrCat("apply-flush:", target.name())));

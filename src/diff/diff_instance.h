@@ -27,7 +27,7 @@ class DiffInstance {
   void Append(Row row) { data_.Append(std::move(row)); }
 
   // Keeps only the first diff tuple per Ī′ key (Ī′ must be a key of an
-  // i-diff — Section 2 "Remark").
+  // i-diff — Section 2 "Remark"). See the free function below.
   void DeduplicateByIds();
 
   std::string ToString() const;
@@ -36,6 +36,17 @@ class DiffInstance {
   DiffSchema schema_;
   Relation data_;
 };
+
+// Checks that `data` is laid out as `schema`'s materialized relation: the
+// same column names in the same order. DiffInstance's constructor runs this
+// check; the ∆-script VM runs it on compute outputs it keeps as bare
+// relations.
+void CheckDiffData(const DiffSchema& schema, const Relation& data);
+
+// Keeps only the first tuple per Ī′ key of `data` (laid out as `schema`'s
+// materialized relation, so Ī′ is its leading columns), preserving order.
+// Works in place: a relation without duplicates is left untouched.
+void DeduplicateByIds(const DiffSchema& schema, Relation* data);
 
 }  // namespace idivm
 

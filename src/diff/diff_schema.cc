@@ -20,13 +20,9 @@ const char* DiffTypeName(DiffType type) {
   IDIVM_UNREACHABLE("bad DiffType");
 }
 
-std::string PreName(const std::string& attr) {
-  return StrCat(attr, kPreSuffix);
-}
+std::string PreName(const std::string& attr) { return attr + kPreSuffix; }
 
-std::string PostName(const std::string& attr) {
-  return StrCat(attr, kPostSuffix);
-}
+std::string PostName(const std::string& attr) { return attr + kPostSuffix; }
 
 std::string StripStateSuffix(const std::string& name) {
   const std::string pre(kPreSuffix);

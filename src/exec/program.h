@@ -50,10 +50,10 @@ struct MicroOp {
   bool raw = false;
   bool unregistered_out = false;  // diff not in registry: error after eval
   const DiffSchema* out_diff = nullptr;
-  bool fuse_to_next = false;   // pipe the DiffInstance to the next micro-op
+  bool fuse_to_next = false;   // pipe the output to the next micro-op
   bool publish_output = true;  // false when fused and nothing else reads it
   // kApply
-  bool piped_input = false;  // consume the piped DiffInstance, not a slot
+  bool piped_input = false;  // consume the piped diff, not a slot
   int in_slot = -1;
   std::string target;  // the APPLY's stored table
   bool apply_unregistered = false;

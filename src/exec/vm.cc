@@ -92,9 +92,17 @@ class SlotTransientAccess : public TransientAccess {
 
 // ---- Micro-op / instruction execution --------------------------------------
 
-Status RunMicroOp(ExecState& st, const MicroOp& op,
-                  std::optional<DiffInstance>* piped, StepRun& run,
-                  const EvalContext& ctx) {
+// What a fused compute hands to its APPLY: the diff's schema and its rows —
+// the published register when others read it too, else the relation
+// itself, moved here.
+struct Piped {
+  const DiffSchema* schema = nullptr;
+  const Relation* data = nullptr;
+  Relation owned;
+};
+
+Status RunMicroOp(ExecState& st, const MicroOp& op, Piped* piped,
+                  StepRun& run, const EvalContext& ctx) {
   const ExecEnv& env = *st.env;
   const std::string& label = st.p->steps[op.step].label;
   if (env.fault != nullptr) {
@@ -111,16 +119,21 @@ Status RunMicroOp(ExecState& st, const MicroOp& op,
           return CorruptScriptError(
               StrCat("compute of unregistered diff ", op.name));
         }
-        DiffInstance inst(*op.out_diff, std::move(rel));
-        inst.DeduplicateByIds();
-        if (op.fuse_to_next) {
-          if (op.publish_output) st.Publish(op.out_slot, inst.data());
-          piped->emplace(std::move(inst));
-        } else {
-          st.Publish(op.out_slot, inst.data());
-        }
-      } else {
-        st.Publish(op.out_slot, std::move(rel));
+        CheckDiffData(*op.out_diff, rel);
+        DeduplicateByIds(*op.out_diff, &rel);
+      }
+      if (op.fuse_to_next && !op.publish_output) {
+        piped->schema = op.out_diff;
+        piped->owned = std::move(rel);
+        piped->data = &piped->owned;
+        break;
+      }
+      st.Publish(op.out_slot, std::move(rel));
+      if (op.fuse_to_next) {
+        // The register is written once per epoch, so the APPLY can read it
+        // in place.
+        piped->schema = op.out_diff;
+        piped->data = &st.regs[op.out_slot];
       }
       break;
     }
@@ -134,8 +147,8 @@ Status RunMicroOp(ExecState& st, const MicroOp& op,
       const DiffSchema* schema = nullptr;
       const Relation* data = nullptr;
       if (op.piped_input) {
-        schema = &(*piped)->schema();
-        data = &(*piped)->data();
+        schema = piped->schema;
+        data = piped->data;
       } else {
         if (op.apply_unbound) {
           return CorruptScriptError(StrCat("apply of unbound diff ", op.name));
@@ -200,9 +213,13 @@ Status RunMicroOp(ExecState& st, const MicroOp& op,
       if (op.has_bindings) exec.set_bindings(&op.bindings);
       if (op.kernel != nullptr) {
         exec.set_accumulator(op.kernel.get());
-        obs::GlobalCounter("idivm_agg_kernel_hits_total").Increment(1);
+        static obs::Counter& hits =
+            obs::GlobalCounter("idivm_agg_kernel_hits_total");
+        hits.Increment(1);
       } else {
-        obs::GlobalCounter("idivm_agg_kernel_misses_total").Increment(1);
+        static obs::Counter& misses =
+            obs::GlobalCounter("idivm_agg_kernel_misses_total");
+        misses.Increment(1);
       }
       IDIVM_RETURN_IF_ERROR(exec.Run());
       break;
@@ -220,7 +237,7 @@ Status RunMicroOp(ExecState& st, const MicroOp& op,
 
 Status RunInstruction(ExecState& st, const Instruction& inst) {
   const ExecEnv& env = *st.env;
-  std::optional<DiffInstance> piped;
+  Piped piped;
   for (const MicroOp& op : inst.ops) {
     // Fallback plans evaluate against the registers published before the
     // micro-op starts.
@@ -263,10 +280,10 @@ Status Execute(const ExecEnv& env) {
     st.reg_ptrs.push_back(&st.regs.back());
   }
   st.written.assign(p.slots.size(), 0);
-  for (const auto& [name, inst] : *env.instances) {
+  for (auto& [name, inst] : *env.instances) {
     const auto it = p.slot_index.find(name);
     if (it == p.slot_index.end()) continue;
-    st.regs[it->second] = inst.data();
+    st.regs[it->second] = std::move(inst.mutable_data());
     st.written[it->second] = 1;
   }
 

@@ -36,8 +36,9 @@ namespace exec {
 struct ExecEnv {
   Database* db = nullptr;
   const CompiledProgram* program = nullptr;
-  // The epoch's input diff instances (one per input binding).
-  const std::map<std::string, DiffInstance>* instances = nullptr;
+  // The epoch's input diff instances (one per input binding). Execute
+  // moves their rows into the registers, leaving the instances empty.
+  std::map<std::string, DiffInstance>* instances = nullptr;
   const std::map<std::string, IndexedRelation>* pre_state = nullptr;
   const std::set<std::string>* assist_unsafe = nullptr;
   EpochUndo* undo = nullptr;

@@ -102,11 +102,17 @@ uint64_t SnapshotRegistry::PublishEpoch(const PublishSpec& spec,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     flip_start)
           .count();
-  obs::GlobalCounter("idivm_version_flips_total").Increment();
-  obs::GlobalCounter("idivm_version_flip_tables_total")
-      .Increment(flipped_tables);
-  obs::GlobalCounter("idivm_version_flip_rows_total").Increment(flipped_rows);
-  obs::GlobalHistogram("idivm_version_flip_seconds").Observe(flip_seconds);
+  static obs::Counter& flips = obs::GlobalCounter("idivm_version_flips_total");
+  static obs::Counter& flip_tables =
+      obs::GlobalCounter("idivm_version_flip_tables_total");
+  static obs::Counter& flip_rows =
+      obs::GlobalCounter("idivm_version_flip_rows_total");
+  static obs::Histogram& flip_time =
+      obs::GlobalHistogram("idivm_version_flip_seconds");
+  flips.Increment();
+  flip_tables.Increment(flipped_tables);
+  flip_rows.Increment(flipped_rows);
+  flip_time.Observe(flip_seconds);
   obs::TraceRecorder* const trace = obs::GlobalTrace();
   if (trace != nullptr) {
     obs::TraceSpan span;
@@ -124,7 +130,8 @@ uint64_t SnapshotRegistry::PublishEpoch(const PublishSpec& spec,
 }
 
 Snapshot SnapshotRegistry::OpenSnapshot() const {
-  obs::GlobalCounter("idivm_snapshot_opens_total").Increment();
+  static obs::Counter& opens = obs::GlobalCounter("idivm_snapshot_opens_total");
+  opens.Increment();
   Snapshot snapshot;
   std::lock_guard<std::mutex> lock(mutex_);
   snapshot.epoch_ = epoch_;

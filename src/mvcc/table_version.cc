@@ -23,12 +23,22 @@ size_t ApproxValueBytes(const Value& value) {
   return bytes;
 }
 
+// idivm_version_rebases_total, bound on the first rebase.
+obs::Counter& RebaseCounter() {
+  static obs::Counter& rebases =
+      obs::GlobalCounter("idivm_version_rebases_total");
+  return rebases;
+}
+
 // Fires the GC accounting for `bytes` exactly once (called from shared_ptr
 // deleters — i.e. on whichever thread drops the last reference).
 void ChargeGc(size_t bytes) {
-  obs::GlobalCounter("idivm_snapshot_gc_bytes_total")
-      .Increment(static_cast<int64_t>(bytes));
-  obs::GlobalCounter("idivm_snapshot_gc_versions_total").Increment();
+  static obs::Counter& gc_bytes =
+      obs::GlobalCounter("idivm_snapshot_gc_bytes_total");
+  static obs::Counter& gc_versions =
+      obs::GlobalCounter("idivm_snapshot_gc_versions_total");
+  gc_bytes.Increment(static_cast<int64_t>(bytes));
+  gc_versions.Increment();
   obs::TraceRecorder* const trace = obs::GlobalTrace();
   if (trace != nullptr) {
     obs::TraceSpan span;
@@ -85,7 +95,7 @@ std::shared_ptr<const TableVersion> TableVersion::Seal(
 
 std::shared_ptr<const TableVersion> TableVersion::Materialize(
     const Table& table, uint64_t epoch) {
-  obs::GlobalCounter("idivm_version_rebases_total").Increment();
+  RebaseCounter().Increment();
   auto version = std::unique_ptr<TableVersion>(new TableVersion());
   version->name_ = table.name();
   version->schema_ = table.schema();
@@ -142,7 +152,7 @@ std::shared_ptr<const TableVersion> TableVersion::Derive(
   // proportional to the delta, not the table.
   if (version->overlay_.size() >= kRebaseMinOverlay &&
       version->overlay_.size() * 4 >= version->base_->rows.size()) {
-    obs::GlobalCounter("idivm_version_rebases_total").Increment();
+    RebaseCounter().Increment();
     Relation folded(version->schema_);
     version->ForEachRow([&folded](const Row& row) { folded.Append(row); });
     version->base_ = BuildBase(std::move(folded), keys);

@@ -116,9 +116,13 @@ struct MetricsSnapshot {
 };
 
 // The registry: name -> counter/gauge/histogram, created on first use. Lookup
-// takes a mutex (cold path: once per metric per epoch at most); the
-// returned references are stable for the registry's lifetime and their
-// increments are lock-free.
+// takes a mutex and a map search, so it stays off the per-epoch path: the
+// engine's fixed-name increment sites look a metric up once, on first use,
+// and hold the reference in a function-local static, and each Maintainer
+// binds its per-rule counters once, next to its compiled program. Held
+// references stay valid for the registry's lifetime because a metric is
+// never erased — Reset() only zeroes it — and their increments are
+// lock-free.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -32,9 +32,11 @@ void EpochUndo::RecordBatch(Table* table, std::vector<Modification> mods) {
     bytes += sizeof(Modification) + ApproxRowBytes(mod.pre) +
              ApproxRowBytes(mod.post);
   }
-  obs::GlobalCounter("idivm_undo_batches_total").Increment(1);
-  obs::GlobalCounter("idivm_undo_batched_bytes_total")
-      .Increment(static_cast<int64_t>(bytes));
+  static obs::Counter& batches = obs::GlobalCounter("idivm_undo_batches_total");
+  static obs::Counter& batched_bytes =
+      obs::GlobalCounter("idivm_undo_batched_bytes_total");
+  batches.Increment(1);
+  batched_bytes.Increment(static_cast<int64_t>(bytes));
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.reserve(entries_.size() + mods.size());
   for (Modification& mod : mods) {

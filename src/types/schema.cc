@@ -7,17 +7,22 @@
 
 namespace idivm {
 
-Schema::Schema(std::vector<ColumnDef> columns) : columns_(std::move(columns)) {
+const std::vector<ColumnDef> Schema::kNoColumns;
+
+Schema::Schema(std::vector<ColumnDef> columns)
+    : columns_(std::make_shared<const std::vector<ColumnDef>>(
+          std::move(columns))) {
   std::unordered_set<std::string> seen;
-  for (const ColumnDef& col : columns_) {
+  for (const ColumnDef& col : *columns_) {
     IDIVM_CHECK(seen.insert(col.name).second,
                 StrCat("duplicate column name: ", col.name));
   }
 }
 
 std::optional<size_t> Schema::FindColumn(const std::string& name) const {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == name) return i;
+  const std::vector<ColumnDef>& cols = columns();
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (cols[i].name == name) return i;
   }
   return std::nullopt;
 }
@@ -39,27 +44,27 @@ std::vector<size_t> Schema::ColumnIndices(
 
 std::vector<std::string> Schema::ColumnNames() const {
   std::vector<std::string> out;
-  out.reserve(columns_.size());
-  for (const ColumnDef& col : columns_) out.push_back(col.name);
+  out.reserve(num_columns());
+  for (const ColumnDef& col : columns()) out.push_back(col.name);
   return out;
 }
 
 std::set<std::string> Schema::ColumnNameSet() const {
   std::set<std::string> out;
-  for (const ColumnDef& col : columns_) out.insert(col.name);
+  for (const ColumnDef& col : columns()) out.insert(col.name);
   return out;
 }
 
 Schema Schema::Extend(const std::vector<ColumnDef>& extra) const {
-  std::vector<ColumnDef> cols = columns_;
+  std::vector<ColumnDef> cols = columns();
   cols.insert(cols.end(), extra.begin(), extra.end());
   return Schema(std::move(cols));
 }
 
 std::string Schema::ToString() const {
   std::vector<std::string> parts;
-  parts.reserve(columns_.size());
-  for (const ColumnDef& col : columns_) {
+  parts.reserve(num_columns());
+  for (const ColumnDef& col : columns()) {
     parts.push_back(StrCat(col.name, ":", DataTypeName(col.type)));
   }
   return StrCat("(", Join(parts, ", "), ")");

@@ -1,9 +1,15 @@
 // Relation schemas: ordered lists of uniquely-named, typed columns.
+//
+// A Schema is immutable once built (Extend returns a new one), so its
+// column list is shared: copying a Schema — and with it a Relation, a
+// register, an operator output or a DiffSchema — copies one pointer and
+// allocates nothing.
 
 #ifndef IDIVM_TYPES_SCHEMA_H_
 #define IDIVM_TYPES_SCHEMA_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -28,9 +34,11 @@ class Schema {
   Schema() = default;
   explicit Schema(std::vector<ColumnDef> columns);
 
-  size_t num_columns() const { return columns_.size(); }
-  const ColumnDef& column(size_t i) const { return columns_[i]; }
-  const std::vector<ColumnDef>& columns() const { return columns_; }
+  size_t num_columns() const { return columns().size(); }
+  const ColumnDef& column(size_t i) const { return columns()[i]; }
+  const std::vector<ColumnDef>& columns() const {
+    return columns_ != nullptr ? *columns_ : kNoColumns;
+  }
 
   // Index of the named column, or nullopt.
   std::optional<size_t> FindColumn(const std::string& name) const;
@@ -55,12 +63,17 @@ class Schema {
 
   std::string ToString() const;
 
+  // Value equality: same column names and types in the same order.
   friend bool operator==(const Schema& a, const Schema& b) {
-    return a.columns_ == b.columns_;
+    return a.columns_ == b.columns_ || a.columns() == b.columns();
   }
 
  private:
-  std::vector<ColumnDef> columns_;
+  static const std::vector<ColumnDef> kNoColumns;
+
+  // Never mutated after construction; null for the empty schema (default
+  // constructed or moved from).
+  std::shared_ptr<const std::vector<ColumnDef>> columns_;
 };
 
 }  // namespace idivm

@@ -66,6 +66,44 @@ TEST(DiffInstanceTest, AppendAndDeduplicate) {
   EXPECT_EQ(inst.size(), 3u);
   inst.DeduplicateByIds();
   EXPECT_EQ(inst.size(), 2u);
+
+  // A two-column Ī′ whose duplicates differ outside it: the first tuple
+  // per key survives, and the survivors keep their original order.
+  const Schema pairs({{"device", DataType::kString},
+                      {"pid", DataType::kString},
+                      {"qty", DataType::kInt64}});
+  const DiffSchema two_ids(DiffType::kUpdate, "device_parts", pairs,
+                           {"device", "pid"}, {}, {"qty"});
+  DiffInstance multi(two_ids);
+  multi.Append({Value("D1"), Value("P1"), Value(1)});
+  multi.Append({Value("D1"), Value("P2"), Value(2)});
+  multi.Append({Value("D1"), Value("P1"), Value(3)});  // dup
+  multi.Append({Value("D2"), Value("P1"), Value(4)});
+  multi.Append({Value("D1"), Value("P2"), Value(5)});  // dup
+  multi.Append({Value("D2"), Value("P1"), Value(6)});  // dup
+  multi.DeduplicateByIds();
+  const std::vector<Row> first_per_key = {
+      {Value("D1"), Value("P1"), Value(1)},
+      {Value("D1"), Value("P2"), Value(2)},
+      {Value("D2"), Value("P1"), Value(4)}};
+  ASSERT_EQ(multi.size(), first_per_key.size());
+  for (size_t i = 0; i < first_per_key.size(); ++i) {
+    EXPECT_EQ(CompareRows(multi.data().rows()[i], first_per_key[i]), 0)
+        << "row " << i;
+  }
+
+  // Without duplicates the relation is left exactly as it was.
+  DiffInstance distinct(two_ids);
+  distinct.Append({Value("D2"), Value("P9"), Value(7)});
+  distinct.Append({Value("D1"), Value("P9"), Value(8)});
+  distinct.Append({Value("D2"), Value("P8"), Value(9)});
+  const std::vector<Row> before = distinct.data().rows();
+  distinct.DeduplicateByIds();
+  ASSERT_EQ(distinct.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(CompareRows(distinct.data().rows()[i], before[i]), 0)
+        << "row " << i;
+  }
 }
 
 TEST(DiffInstanceDeathTest, DataSchemaMustMatch) {

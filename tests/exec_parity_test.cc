@@ -253,6 +253,13 @@ TEST_P(ExecParityShapeTest, ApplyFlushFaultRollsBackBatchedUndo) {
 
 // The epoch op budget trips with the same message at every thread count,
 // the rollback is identical, and the retry commits the clean epoch.
+//
+// A parallel abort does not fix the fault surface: when the budget trips in
+// one instruction, instructions already running on other workers still
+// finish their micro-ops and visit their fault sites, and instructions not
+// yet started never do. So at threads > 1 the sites visited are only
+// bounded by the clean epoch's surface; everything else must match the
+// sequential run exactly, and at threads = 1 so must the surface.
 TEST_P(ExecParityShapeTest, OpBudgetTripsIdentically) {
   const std::string shape = GetParam();
   const EpochOutcome clean = RunEpoch(shape, /*threads=*/1);
@@ -264,9 +271,14 @@ TEST_P(ExecParityShapeTest, OpBudgetTripsIdentically) {
     EXPECT_EQ(reference.code, StatusCode::kResourceExhausted) << context;
     ExpectRolledBackThenConverged(reference, clean, context);
     for (const int threads : {1, 2, 4, 8}) {
-      ExpectOutcomesEqual(reference,
-                          RunEpoch(shape, threads, std::nullopt, budget),
-                          context + " threads=" + std::to_string(threads));
+      const std::string at = context + " threads=" + std::to_string(threads);
+      EpochOutcome run = RunEpoch(shape, threads, std::nullopt, budget);
+      if (threads > 1) {
+        EXPECT_GT(run.sites_visited, 0u) << at;
+        EXPECT_LE(run.sites_visited, clean.sites_visited) << at;
+        run.sites_visited = reference.sites_visited;  // checked above
+      }
+      ExpectOutcomesEqual(reference, run, at);
     }
   }
 }

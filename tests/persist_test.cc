@@ -425,7 +425,7 @@ TEST_F(RecoveryTest, ReplayRestoresViewsExactly) {
   EXPECT_GT(result.modifications_applied, 0u);
   EXPECT_TRUE(vm2.HasView("v"));
   EXPECT_TRUE(vm2.HasView("vp"));
-  for (const std::string& view : {"v", "vp"}) {
+  for (const char* view : {"v", "vp"}) {
     // Recovered contents match the pre-crash engine...
     EXPECT_TRUE(db2.GetTable(view).SnapshotUncounted().BagEquals(
         db_->GetTable(view).SnapshotUncounted()))
@@ -453,7 +453,7 @@ TEST_F(RecoveryTest, RecomputeModeMatchesReplay) {
   ASSERT_TRUE(a.ok) << a.error;
   ASSERT_TRUE(b.ok) << b.error;
   EXPECT_EQ(a.last_applied_lsn, b.last_applied_lsn);
-  for (const std::string& view : {"v", "vp"}) {
+  for (const char* view : {"v", "vp"}) {
     EXPECT_TRUE(replayed.GetTable(view).SnapshotUncounted().BagEquals(
         recomputed.GetTable(view).SnapshotUncounted()))
         << view;
@@ -477,7 +477,7 @@ TEST_F(RecoveryTest, UncommittedTailIsDiscarded) {
   EXPECT_FALSE(db2.GetTable("parts")
                    .LookupByKeyUncounted({Value("P500")})
                    .has_value());
-  for (const std::string& view : {"v", "vp"}) {
+  for (const char* view : {"v", "vp"}) {
     testing::ExpectViewMatchesRecompute(
         &db2, vm2.GetView(view).view().plan, view);
   }
@@ -499,7 +499,7 @@ TEST_F(RecoveryTest, ParallelReplayMatchesSequentialBitForBit) {
   EXPECT_EQ(seq.accesses.index_lookups, par.accesses.index_lookups);
   EXPECT_EQ(seq.accesses.tuple_reads, par.accesses.tuple_reads);
   EXPECT_EQ(seq.accesses.tuple_writes, par.accesses.tuple_writes);
-  for (const std::string& view : {"v", "vp"}) {
+  for (const char* view : {"v", "vp"}) {
     EXPECT_TRUE(seq_db.GetTable(view).SnapshotUncounted().BagEquals(
         par_db.GetTable(view).SnapshotUncounted()))
         << view;
