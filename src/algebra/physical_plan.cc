@@ -28,12 +28,6 @@ Row ConcatRows(const Row& a, const Row& b) {
   return out;
 }
 
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    return CompareRows(a, b) < 0;
-  }
-};
-
 // ---- Probe planning ---------------------------------------------------------
 //
 // A plan subtree is "probeable" on a set of output columns when keyed lookups

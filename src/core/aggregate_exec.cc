@@ -19,17 +19,52 @@ Value CastNumeric(DataType type, double v) {
   return Value(v);
 }
 
+// The offset of `name` in `schema`, or a CorruptScriptError naming the
+// step and what the column is for.
+Status ResolveColumn(const AggregateStep& step, const Schema& schema,
+                     const std::string& name, const char* what, size_t* out) {
+  const std::optional<size_t> col = schema.FindColumn(name);
+  if (!col.has_value()) {
+    return CorruptScriptError(StrCat("γ-maintain ", step.node_name, ": no ",
+                                     what, " column '", name, "'"));
+  }
+  *out = *col;
+  return OkStatus();
+}
+
 }  // namespace
 
 Status BindAggregateStep(const AggregateStep& step, const DeltaScript& script,
                          const Database& db, AggregateBindings* out) {
-  out->group_cols = step.input_schema.ColumnIndices(step.group_by);
+  const Schema& in = step.input_schema;
+  std::vector<ColumnDef> key_cols;
+  for (const std::string& g : step.group_by) {
+    size_t col = 0;
+    IDIVM_RETURN_IF_ERROR(ResolveColumn(step, in, g, "group-by", &col));
+    out->group_cols.push_back(col);
+    key_cols.push_back(in.column(col));
+  }
+  out->key_schema = Schema(key_cols);
   for (const AggSpec& spec : step.aggs) {
-    if (spec.arg != nullptr) {
-      out->args.emplace_back(BoundExpr(spec.arg, step.input_schema));
-    } else {
-      out->args.emplace_back(std::nullopt);
+    AggregateBindings::Arg arg;
+    if (spec.arg != nullptr && spec.arg->kind() == ExprKind::kColumn) {
+      arg.kind = AggregateBindings::Arg::Kind::kColumn;
+      IDIVM_RETURN_IF_ERROR(ResolveColumn(step, in, spec.arg->column_name(),
+                                          "argument", &arg.col));
+    } else if (spec.arg != nullptr) {
+      for (const std::string& c : ReferencedColumns(spec.arg)) {
+        size_t col = 0;
+        IDIVM_RETURN_IF_ERROR(ResolveColumn(step, in, c, "argument", &col));
+      }
+      arg.kind = AggregateBindings::Arg::Kind::kExpr;
+      arg.expr.emplace(spec.arg, in);
+      out->has_expr_arg = true;
     }
+    out->args.push_back(std::move(arg));
+    size_t col = 0;
+    IDIVM_RETURN_IF_ERROR(
+        ResolveColumn(step, step.output_schema, spec.name, "output", &col));
+    out->out_types.push_back(step.output_schema.column(col).type);
   }
   out->update = script.FindDiffSchema(step.out_update);
   out->insert = script.FindDiffSchema(step.out_insert);
@@ -41,24 +76,74 @@ Status BindAggregateStep(const AggregateStep& step, const DeltaScript& script,
                                      "registered"));
   }
   if (step.mode == AggregateStep::Mode::kIncremental &&
-      !step.opcache_table.empty() && db.HasTable(step.opcache_table)) {
-    const Schema& cache_schema = db.GetTable(step.opcache_table).schema();
-    out->opcache_key_cols = cache_schema.ColumnIndices(step.group_by);
-    for (const AggSpec& spec : step.aggs) {
-      out->opcache_sum_cols.push_back(
-          cache_schema.ColumnIndex(StrCat("__sum_", spec.name)));
-      out->opcache_cnt_cols.push_back(
-          cache_schema.ColumnIndex(StrCat("__cnt_", spec.name)));
+      !step.opcache_table.empty()) {
+    if (!db.HasTable(step.opcache_table)) {
+      return CorruptScriptError(StrCat("γ-maintain ", step.node_name,
+                                       ": no operator cache ",
+                                       step.opcache_table));
     }
-    out->opcache_count_col = cache_schema.ColumnIndex("__count");
-    out->has_opcache = true;
+    const Schema& cache = db.GetTable(step.opcache_table).schema();
+    for (const std::string& g : step.group_by) {
+      size_t col = 0;
+      IDIVM_RETURN_IF_ERROR(ResolveColumn(step, cache, g, "cache key", &col));
+      out->opcache_key_cols.push_back(col);
+    }
+    for (const AggSpec& spec : step.aggs) {
+      size_t sum = 0;
+      size_t cnt = 0;
+      IDIVM_RETURN_IF_ERROR(ResolveColumn(
+          step, cache, StrCat("__sum_", spec.name), "cache", &sum));
+      IDIVM_RETURN_IF_ERROR(ResolveColumn(
+          step, cache, StrCat("__cnt_", spec.name), "cache", &cnt));
+      out->opcache_sum_cols.push_back(sum);
+      out->opcache_cnt_cols.push_back(cnt);
+    }
+    IDIVM_RETURN_IF_ERROR(ResolveColumn(step, cache, "__count", "cache",
+                                        &out->opcache_count_col));
   }
   return OkStatus();
 }
 
+PlanPtr RecomputeProbePlan(const AggregateStep& step,
+                           const std::string& keys_name,
+                           const Schema& key_schema) {
+  std::vector<ExprPtr> eqs;
+  std::vector<ProjectItem> rename;
+  for (const std::string& g : step.group_by) {
+    rename.push_back({Col(g), StrCat("__k_", g)});
+    eqs.push_back(Eq(Col(g), Col(StrCat("__k_", g))));
+  }
+  return PlanNode::SemiJoin(
+      step.input_post_plan,
+      PlanNode::Project(PlanNode::RelationRef(keys_name, key_schema), rename),
+      ConjoinAll(eqs));
+}
+
+AggregateExecutor::AggregateExecutor(Database* db, EpochUndo* undo,
+                                     const AggregateStep& step,
+                                     const AggregateBindings& bindings,
+                                     Relation* regs,
+                                     const Relation* const* reg_ptrs,
+                                     const EvalContext& ctx)
+    : db_(db),
+      undo_(undo),
+      step_(step),
+      b_(bindings),
+      regs_(regs),
+      reg_ptrs_(reg_ptrs),
+      ctx_(ctx),
+      key_(bindings.group_cols.size()),
+      update_(bindings.update->relation_schema()),
+      insert_(bindings.insert->relation_schema()),
+      delete_(bindings.del->relation_schema()) {}
+
 Status AggregateExecutor::Run() {
-  IDIVM_RETURN_IF_ERROR(BindSpecs());
-  IDIVM_RETURN_IF_ERROR(AccumulateDeltas());
+  // Sum deltas do not require row alignment: subtract all pre images, add
+  // all post images.
+  for (const AggregateBindings::Input& input : b_.inputs) {
+    if (input.pre >= 0) Fold(regs_[input.pre], -1, false, &deltas_);
+    if (input.post >= 0) Fold(regs_[input.post], +1, false, &deltas_);
+  }
   if (step_.mode == AggregateStep::Mode::kIncremental) {
     if (!step_.opcache_table.empty()) {
       IDIVM_RETURN_IF_ERROR(RunIncrementalWithOpcache());
@@ -66,137 +151,82 @@ Status AggregateExecutor::Run() {
       RunIncrementalDirect();
     }
   } else {
-    RunRecompute();
+    // General recompute rule (Table 7). Affected groups: every group key
+    // touched by any input image. The set may overestimate (keys whose net
+    // change cancels); recomputing them is harmless.
+    std::vector<Row>& keys = regs_[b_.keys].mutable_rows();
+    for (const auto& [key, delta] : deltas_) keys.push_back(key);
+    RecomputeGroups(EmitMode::kUpdateAndInsert);
   }
-  EmitOutputs();
+  regs_[b_.out_update] = std::move(update_);
+  regs_[b_.out_insert] = std::move(insert_);
+  regs_[b_.out_delete] = std::move(delete_);
   return OkStatus();
 }
 
-Status AggregateExecutor::Rows(const std::string& name,
-                               const Relation** out) {
-  const Relation* rel = transients_->Find(name);
-  if (rel == nullptr) {
-    return CorruptScriptError(StrCat("γ input rows missing: ", name));
-  }
-  *out = rel;
-  return OkStatus();
-}
-
-Status AggregateExecutor::BindSpecs() {
-  if (prebound_ != nullptr) {
-    bindings_ = prebound_;
-  } else {
-    runtime_bindings_.group_cols =
-        step_.input_schema.ColumnIndices(step_.group_by);
-    for (const AggSpec& spec : step_.aggs) {
-      if (spec.arg != nullptr) {
-        runtime_bindings_.args.emplace_back(
-            BoundExpr(spec.arg, step_.input_schema));
-      } else {
-        runtime_bindings_.args.emplace_back(std::nullopt);
+void AggregateExecutor::Fold(const Relation& rel, double sign, bool extremes,
+                             GroupMap* groups) {
+  const int64_t unit = sign > 0 ? 1 : -1;
+  const size_t n_aggs = b_.args.size();
+  for (const Row& row : rel.rows()) {
+    for (size_t i = 0; i < key_.size(); ++i) key_[i] = row[b_.group_cols[i]];
+    auto it = groups->find(key_);
+    if (it == groups->end()) {
+      it = groups->emplace(key_, GroupAcc{}).first;
+      it->second.nonnull.resize(n_aggs, 0);
+      it->second.sums.resize(n_aggs, 0);
+      if (extremes) {
+        it->second.mins.resize(n_aggs);
+        it->second.maxs.resize(n_aggs);
       }
     }
-    if (script_schema_lookup_ != nullptr) {
-      runtime_bindings_.update =
-          script_schema_lookup_->FindDiffSchema(step_.out_update);
-      runtime_bindings_.insert =
-          script_schema_lookup_->FindDiffSchema(step_.out_insert);
-      runtime_bindings_.del =
-          script_schema_lookup_->FindDiffSchema(step_.out_delete);
-    }
-    bindings_ = &runtime_bindings_;
-  }
-  // Output diff skeletons.
-  if (bindings_->update == nullptr || bindings_->insert == nullptr ||
-      bindings_->del == nullptr) {
-    return CorruptScriptError(StrCat("γ-maintain ", step_.node_name,
-                                     ": aggregate output diffs not "
-                                     "registered"));
-  }
-  update_ = std::make_unique<DiffInstance>(*bindings_->update);
-  insert_ = std::make_unique<DiffInstance>(*bindings_->insert);
-  delete_ = std::make_unique<DiffInstance>(*bindings_->del);
-  return OkStatus();
-}
-
-void AggregateExecutor::Contribute(const Row& row, double sign) {
-  Row key = ProjectRow(row, bindings_->group_cols);
-  GroupDelta& delta = deltas_[key];
-  if (delta.sum_delta.empty()) {
-    delta.sum_delta.resize(step_.aggs.size(), 0);
-    delta.nonnull_delta.resize(step_.aggs.size(), 0);
-  }
-  delta.row_delta += sign > 0 ? 1 : -1;
-  for (size_t k = 0; k < step_.aggs.size(); ++k) {
-    if (!bindings_->args[k].has_value()) {
-      delta.nonnull_delta[k] += sign > 0 ? 1 : -1;  // COUNT(*)
-      continue;
-    }
-    const Value v = bindings_->args[k]->Eval(row);
-    if (v.is_null()) continue;
-    delta.nonnull_delta[k] += sign > 0 ? 1 : -1;
-    if (v.is_numeric()) delta.sum_delta[k] += sign * v.NumericAsDouble();
-  }
-}
-
-void AggregateExecutor::Fold(const Relation& rel, double sign) {
-  if (accumulator_ != nullptr) {
-    accumulator_->Accumulate(rel, sign, &deltas_);
-    return;
-  }
-  for (const Row& row : rel.rows()) Contribute(row, sign);
-}
-
-Status AggregateExecutor::AccumulateDeltas() {
-  for (const AggregateInput& input : step_.inputs) {
-    const Relation* pre = nullptr;
-    const Relation* post = nullptr;
-    switch (input.type) {
-      case DiffType::kInsert:
-        IDIVM_RETURN_IF_ERROR(Rows(input.post_rows, &post));
-        Fold(*post, +1);
-        break;
-      case DiffType::kDelete:
-        IDIVM_RETURN_IF_ERROR(Rows(input.pre_rows, &pre));
-        Fold(*pre, -1);
-        break;
-      case DiffType::kUpdate: {
-        // Sum deltas do not require row alignment: subtract all pre
-        // images, add all post images.
-        IDIVM_RETURN_IF_ERROR(Rows(input.pre_rows, &pre));
-        IDIVM_RETURN_IF_ERROR(Rows(input.post_rows, &post));
-        Fold(*pre, -1);
-        Fold(*post, +1);
-        break;
+    GroupAcc& g = it->second;
+    g.rows += unit;
+    for (size_t k = 0; k < n_aggs; ++k) {
+      const AggregateBindings::Arg& arg = b_.args[k];
+      const auto add = [&](const Value& v) {
+        if (v.is_null()) return;
+        g.nonnull[k] += unit;
+        if (v.is_numeric()) g.sums[k] += sign * v.NumericAsDouble();
+        if (!extremes) return;
+        if (g.mins[k].is_null() || v.Compare(g.mins[k]) < 0) g.mins[k] = v;
+        if (g.maxs[k].is_null() || v.Compare(g.maxs[k]) > 0) g.maxs[k] = v;
+      };
+      switch (arg.kind) {
+        case AggregateBindings::Arg::Kind::kStar:
+          g.nonnull[k] += unit;
+          break;
+        case AggregateBindings::Arg::Kind::kColumn:
+          add(row[arg.col]);
+          break;
+        case AggregateBindings::Arg::Kind::kExpr:
+          add(arg.expr->Eval(row));
+          break;
       }
     }
   }
-  return OkStatus();
 }
 
-bool AggregateExecutor::DeltaIsZero(const GroupDelta& d) const {
-  if (d.row_delta != 0) return false;
-  for (int64_t n : d.nonnull_delta) {
+bool AggregateExecutor::DeltaIsZero(const GroupAcc& d) {
+  if (d.rows != 0) return false;
+  for (int64_t n : d.nonnull) {
     if (n != 0) return false;
   }
-  for (double s : d.sum_delta) {
+  for (double s : d.sums) {
     if (s != 0) return false;
   }
   return true;
 }
 
 Value AggregateExecutor::Finalize(size_t k, double sum, int64_t nonnull,
-                                  int64_t rows) {
+                                  int64_t rows) const {
   const AggSpec& spec = step_.aggs[k];
-  const DataType type =
-      step_.output_schema
-          .column(step_.output_schema.ColumnIndex(spec.name)).type;
   switch (spec.func) {
     case AggFunc::kCount:
       return Value(spec.arg == nullptr ? rows : nonnull);
     case AggFunc::kSum:
       if (nonnull == 0) return Value::Null();
-      return CastNumeric(type, sum);
+      return CastNumeric(b_.out_types[k], sum);
     case AggFunc::kAvg:
       if (nonnull == 0) return Value::Null();
       return Value(sum / static_cast<double>(nonnull));
@@ -209,54 +239,35 @@ Value AggregateExecutor::Finalize(size_t k, double sum, int64_t nonnull,
 
 // ---- incremental, view updated additively (root γ, sum/count) ----
 void AggregateExecutor::RunIncrementalDirect() {
-  std::vector<Row> need_recompute;
+  std::vector<Row>& need_recompute = regs_[b_.keys].mutable_rows();
   for (const auto& [key, delta] : deltas_) {
     if (DeltaIsZero(delta)) continue;
-    if (delta.row_delta == 0) {
+    if (delta.rows == 0) {
       // Pure value change: additive update diff (Tables 9/11).
       Row row = key;
       for (size_t k = 0; k < step_.aggs.size(); ++k) {
         const AggSpec& spec = step_.aggs[k];
-        const DataType type =
-            step_.output_schema
-                .column(step_.output_schema.ColumnIndex(spec.name)).type;
         if (spec.func == AggFunc::kCount) {
-          row.push_back(Value(spec.arg == nullptr
-                                  ? int64_t{0}
-                                  : delta.nonnull_delta[k]));
+          row.push_back(
+              Value(spec.arg == nullptr ? int64_t{0} : delta.nonnull[k]));
         } else {  // SUM
-          row.push_back(CastNumeric(type, delta.sum_delta[k]));
+          row.push_back(CastNumeric(b_.out_types[k], delta.sums[k]));
         }
       }
-      update_->Append(std::move(row));
+      update_.Append(std::move(row));
     } else {
       need_recompute.push_back(key);
     }
   }
-  RecomputeGroups(need_recompute, EmitMode::kClassifiedDeleteInsert);
+  RecomputeGroups(EmitMode::kClassifiedDeleteInsert);
 }
 
 // ---- incremental with the SUM+COUNT operator cache (Table 12) ----
 Status AggregateExecutor::RunIncrementalWithOpcache() {
   Table& opcache = db_->GetTable(step_.opcache_table);
-  const Schema& cache_schema = opcache.schema();
-  std::vector<size_t> key_cols;
-  std::vector<size_t> sum_cols;
-  std::vector<size_t> cnt_cols;
-  size_t count_col = 0;
-  if (bindings_->has_opcache) {
-    key_cols = bindings_->opcache_key_cols;
-    sum_cols = bindings_->opcache_sum_cols;
-    cnt_cols = bindings_->opcache_cnt_cols;
-    count_col = bindings_->opcache_count_col;
-  } else {
-    key_cols = cache_schema.ColumnIndices(step_.group_by);
-    for (const AggSpec& spec : step_.aggs) {
-      sum_cols.push_back(cache_schema.ColumnIndex(StrCat("__sum_", spec.name)));
-      cnt_cols.push_back(cache_schema.ColumnIndex(StrCat("__cnt_", spec.name)));
-    }
-    count_col = cache_schema.ColumnIndex("__count");
-  }
+  const std::vector<size_t>& sum_cols = b_.opcache_sum_cols;
+  const std::vector<size_t>& cnt_cols = b_.opcache_cnt_cols;
+  const size_t count_col = b_.opcache_count_col;
   // Index-maintenance hint: the mutator below writes only the sum/cnt/count
   // columns, never the group-key columns.
   std::vector<size_t> mutated_cols = sum_cols;
@@ -276,16 +287,15 @@ Status AggregateExecutor::RunIncrementalWithOpcache() {
     post_images.clear();
     const bool capture = undo.active();
     const size_t touched = opcache.UpdateRowsWhereEquals(
-        key_cols, key,
+        b_.opcache_key_cols, key,
         [&](Row& row) {
           for (size_t k = 0; k < step_.aggs.size(); ++k) {
             row[sum_cols[k]] =
-                Value(row[sum_cols[k]].NumericAsDouble() +
-                      delta.sum_delta[k]);
+                Value(row[sum_cols[k]].NumericAsDouble() + delta.sums[k]);
             row[cnt_cols[k]] =
-                Value(row[cnt_cols[k]].AsInt64() + delta.nonnull_delta[k]);
+                Value(row[cnt_cols[k]].AsInt64() + delta.nonnull[k]);
           }
-          row[count_col] = Value(row[count_col].AsInt64() + delta.row_delta);
+          row[count_col] = Value(row[count_col].AsInt64() + delta.rows);
           post_image = row;
         },
         capture ? &pre_images : nullptr, capture ? &post_images : nullptr,
@@ -298,7 +308,7 @@ Status AggregateExecutor::RunIncrementalWithOpcache() {
     }
     int64_t count_post;
     if (touched == 0) {
-      if (delta.row_delta <= 0) {
+      if (delta.rows <= 0) {
         // A vanished group the opcache has never seen: the input diffs
         // violate the Section 2 effectiveness conditions.
         return ApplyConflictError(
@@ -308,190 +318,93 @@ Status AggregateExecutor::RunIncrementalWithOpcache() {
       // New group: insert the opcache row.
       Row row = key;
       for (size_t k = 0; k < step_.aggs.size(); ++k) {
-        row.push_back(Value(delta.sum_delta[k]));
-        row.push_back(Value(delta.nonnull_delta[k]));
+        row.push_back(Value(delta.sums[k]));
+        row.push_back(Value(delta.nonnull[k]));
       }
       // Column order: group cols, then (sum, cnt) pairs, then __count —
       // matches the compose-time schema.
-      row.push_back(Value(delta.row_delta));
+      row.push_back(Value(delta.rows));
       opcache.Insert(row);
       if (undo.active()) {
         undo.Add(Modification{DiffType::kInsert, Row(), row});
       }
       post_image = row;
-      count_post = delta.row_delta;
+      count_post = delta.rows;
     } else {
       count_post = post_image[count_col].AsInt64();
     }
-    const int64_t count_pre = count_post - delta.row_delta;
+    const int64_t count_pre = count_post - delta.rows;
     if (count_post == 0) {
       opcache.DeleteByKey(key);
       if (undo.active()) {
         undo.Add(Modification{DiffType::kDelete, post_image, Row()});
       }
-      if (count_pre > 0) delete_->Append(key);
+      if (count_pre > 0) delete_.Append(key);
       continue;
     }
     // Final absolute values from the opcache row.
-    Row values;
-    for (size_t k = 0; k < step_.aggs.size(); ++k) {
-      values.push_back(Finalize(k, post_image[sum_cols[k]].NumericAsDouble(),
-                                post_image[cnt_cols[k]].AsInt64(),
-                                count_post));
-    }
     Row row = key;
-    row.insert(row.end(), values.begin(), values.end());
+    for (size_t k = 0; k < step_.aggs.size(); ++k) {
+      row.push_back(Finalize(k, post_image[sum_cols[k]].NumericAsDouble(),
+                             post_image[cnt_cols[k]].AsInt64(), count_post));
+    }
     if (count_pre == 0) {
-      insert_->Append(std::move(row));
+      insert_.Append(std::move(row));
     } else {
-      update_->Append(std::move(row));
+      update_.Append(std::move(row));
     }
   }
   return OkStatus();
 }
 
-// ---- general recompute rule (Table 7) ----
-void AggregateExecutor::RunRecompute() {
-  // Affected groups: every group key touched by any input image. The set
-  // may overestimate (keys whose net change cancels); recomputing them is
-  // harmless.
-  std::vector<Row> affected;
-  for (const auto& [key, delta] : deltas_) {
-    (void)delta;
-    affected.push_back(key);
-  }
-  RecomputeGroups(affected, EmitMode::kUpdateAndInsert);
-}
-
-// Recomputes `keys` from the input's post state. Groups with no remaining
-// rows become deletes; surviving groups are emitted per `mode`.
-void AggregateExecutor::RecomputeGroups(const std::vector<Row>& keys,
-                                        EmitMode mode) {
+// Groups with no remaining rows become deletes; surviving groups are
+// emitted per `mode`.
+void AggregateExecutor::RecomputeGroups(EmitMode mode) {
+  const std::vector<Row>& keys = regs_[b_.keys].rows();
   if (keys.empty()) return;
-  // Probe the input's post state per group key.
-  Schema key_schema;
-  {
-    std::vector<ColumnDef> cols;
-    for (const std::string& g : step_.group_by) {
-      cols.push_back({g, step_.input_schema.column(
-                             step_.input_schema.ColumnIndex(g)).type});
-    }
-    key_schema = Schema(cols);
-  }
-  Relation key_rel(key_schema);
-  for (const Row& key : keys) key_rel.Append(key);
-  const std::string key_name = "__gkeys";
-
-  std::vector<ExprPtr> eqs;
-  std::vector<ProjectItem> rename;
-  for (const std::string& g : step_.group_by) {
-    rename.push_back({Col(g), StrCat("__k_", g)});
-    eqs.push_back(Eq(Col(g), Col(StrCat("__k_", g))));
-  }
-  PlanPtr probe = PlanNode::SemiJoin(
-      step_.input_post_plan,
-      PlanNode::Project(PlanNode::RelationRef(key_name, key_schema),
-                        rename),
-      ConjoinAll(eqs));
-  const Relation rows = transients_->EvaluateScoped(probe, key_name, key_rel);
-
   // Group + recompute exactly (count rows, non-null counts, sums, min/max).
-  struct Recomputed {
-    int64_t rows = 0;
-    std::vector<int64_t> nonnull;
-    std::vector<double> sums;
-    std::vector<Value> mins;
-    std::vector<Value> maxs;
-  };
-  std::map<Row, Recomputed, GroupKeyLess> groups;
-  for (const Row& row : rows.rows()) {
-    Row key = ProjectRow(row, bindings_->group_cols);
-    Recomputed& g = groups[key];
-    if (g.nonnull.empty()) {
-      g.nonnull.resize(step_.aggs.size(), 0);
-      g.sums.resize(step_.aggs.size(), 0);
-      g.mins.resize(step_.aggs.size());
-      g.maxs.resize(step_.aggs.size());
-    }
-    ++g.rows;
-    for (size_t k = 0; k < step_.aggs.size(); ++k) {
-      if (!bindings_->args[k].has_value()) {
-        ++g.nonnull[k];
-        continue;
-      }
-      const Value v = bindings_->args[k]->Eval(row);
-      if (v.is_null()) continue;
-      ++g.nonnull[k];
-      if (v.is_numeric()) g.sums[k] += v.NumericAsDouble();
-      if (g.mins[k].is_null() || v.Compare(g.mins[k]) < 0) g.mins[k] = v;
-      if (g.maxs[k].is_null() || v.Compare(g.maxs[k]) > 0) g.maxs[k] = v;
-    }
-  }
+  GroupMap groups;
+  Fold(RunPlan(b_.probe, ctx_, reg_ptrs_), +1, true, &groups);
 
   for (const Row& key : keys) {
     const auto it = groups.find(key);
     if (it == groups.end()) {
       // No remaining rows: the group disappears (delete is overestimated
       // for groups that never existed; harmless).
-      delete_->Append(key);
+      delete_.Append(key);
       continue;
     }
-    const Recomputed& g = it->second;
-    Row values;
+    const GroupAcc& g = it->second;
+    Row row = key;
     for (size_t k = 0; k < step_.aggs.size(); ++k) {
-      const AggSpec& spec = step_.aggs[k];
-      const DataType type =
-          step_.output_schema
-              .column(step_.output_schema.ColumnIndex(spec.name)).type;
-      switch (spec.func) {
-        case AggFunc::kCount:
-          values.push_back(
-              Value(spec.arg == nullptr ? g.rows : g.nonnull[k]));
-          break;
-        case AggFunc::kSum:
-          values.push_back(g.nonnull[k] == 0
-                               ? Value::Null()
-                               : CastNumeric(type, g.sums[k]));
-          break;
-        case AggFunc::kAvg:
-          values.push_back(g.nonnull[k] == 0
-                               ? Value::Null()
-                               : Value(g.sums[k] /
-                                       static_cast<double>(g.nonnull[k])));
-          break;
+      switch (step_.aggs[k].func) {
         case AggFunc::kMin:
-          values.push_back(g.mins[k]);
+          row.push_back(g.mins[k]);
           break;
         case AggFunc::kMax:
-          values.push_back(g.maxs[k]);
+          row.push_back(g.maxs[k]);
+          break;
+        default:
+          row.push_back(Finalize(k, g.sums[k], g.nonnull[k], g.rows));
           break;
       }
     }
-    Row row = key;
-    row.insert(row.end(), values.begin(), values.end());
     if (mode == EmitMode::kUpdateAndInsert) {
-      update_->Append(row);
-      insert_->Append(std::move(row));
+      update_.Append(row);
+      insert_.Append(std::move(row));
       continue;
     }
-    const GroupDelta& delta = deltas_.at(key);
-    const int64_t count_pre = g.rows - delta.row_delta;
+    const int64_t count_pre = g.rows - deltas_.at(key).rows;
     if (count_pre <= 0) {
-      insert_->Append(std::move(row));
+      insert_.Append(std::move(row));
     } else {
       // The additive out_update schema cannot carry absolute values:
       // express the update as delete + re-insert (keys disjoint from the
       // purely-additive groups).
-      delete_->Append(key);
-      insert_->Append(std::move(row));
+      delete_.Append(key);
+      insert_.Append(std::move(row));
     }
   }
-}
-
-void AggregateExecutor::EmitOutputs() {
-  transients_->Publish(step_.out_update, update_->data());
-  transients_->Publish(step_.out_insert, insert_->data());
-  transients_->Publish(step_.out_delete, delete_->data());
 }
 
 }  // namespace idivm

@@ -1,22 +1,22 @@
 // Execution of blocking γ-maintenance steps (AggregateStep), run by the
-// ∆-script VM (src/exec): accumulate per-group deltas from the step's
-// row-granularity inputs, then maintain the aggregate either incrementally
+// ∆-script VM (src/exec): fold the step's row-granularity inputs into
+// per-group deltas, then maintain the aggregate either incrementally
 // (optionally through the SUM+COUNT operator cache, Table 12) or by
-// per-group recompute (Table 7). The executor reads inputs and publishes
-// outputs through a TransientAccess (the VM's register file), so the γ
-// semantics — and every stored-table charge — stay in src/core.
+// per-group recompute (Table 7). Every name a step mentions is resolved
+// once, when its program is compiled (BindAggregateStep); the executor
+// reads its inputs from and writes its outputs to the VM's registers, so
+// the γ semantics — and every stored-table charge — stay in src/core.
 
 #ifndef IDIVM_CORE_AGGREGATE_EXEC_H_
 #define IDIVM_CORE_AGGREGATE_EXEC_H_
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/algebra/physical_plan.h"
 #include "src/core/delta_script.h"
-#include "src/diff/diff_instance.h"
 #include "src/expr/expr.h"
 #include "src/robust/epoch.h"
 #include "src/robust/status.h"
@@ -24,112 +24,89 @@
 
 namespace idivm {
 
-// How the γ executor reaches the VM's transient store: read an input
-// row set, publish an output diff, and evaluate a recompute probe plan with
-// a scratch relation temporarily bound under a reserved name.
-class TransientAccess {
- public:
-  virtual ~TransientAccess() = default;
-
-  // The relation bound to `name`, or nullptr when unbound.
-  virtual const Relation* Find(const std::string& name) = 0;
-
-  // Binds `name` to `rel` (rebinding an existing name).
-  virtual void Publish(const std::string& name, Relation rel) = 0;
-
-  // Evaluates `plan` with `scratch_name` bound to `scratch` for the
-  // duration of the call only.
-  virtual Relation EvaluateScoped(const PlanPtr& plan,
-                                  const std::string& scratch_name,
-                                  const Relation& scratch) = 0;
-};
-
-// Compile-time-resolvable bindings of an AggregateStep: group-by column
-// offsets, argument expressions bound to the input schema, output diff
-// schemas, and (when the operator cache exists) the cache's column offsets.
-// The compiler builds them once per program; Run() binds them itself when
-// they could not be prebound.
+// Everything an AggregateStep runs with, resolved before its first epoch.
+// BindAggregateStep fills the name-derived part; the ∆-script compiler adds
+// the registers and lowers the recompute probe (RecomputeProbePlan).
 struct AggregateBindings {
-  std::vector<size_t> group_cols;
-  std::vector<std::optional<BoundExpr>> args;
+  // One aggregate's argument: COUNT(*) reads nothing, a plain column is
+  // read in place, anything else is evaluated.
+  struct Arg {
+    enum class Kind { kStar, kColumn, kExpr };
+    Kind kind = Kind::kStar;
+    size_t col = 0;                 // kColumn: offset in the input schema
+    std::optional<BoundExpr> expr;  // kExpr: bound to the input schema
+  };
+  // One input's row-set registers; -1 for an image its type lacks.
+  struct Input {
+    int pre = -1;
+    int post = -1;
+  };
+
+  std::vector<size_t> group_cols;   // offsets in the input schema
+  Schema key_schema;                // the group-by columns
+  std::vector<Arg> args;            // one per AggSpec
+  bool has_expr_arg = false;        // some Arg is kExpr
+  std::vector<DataType> out_types;  // declared output type per AggSpec
   const DiffSchema* update = nullptr;
   const DiffSchema* insert = nullptr;
   const DiffSchema* del = nullptr;
-  // Operator-cache column offsets; valid only when `has_opcache`.
-  bool has_opcache = false;
+  // Operator-cache column offsets; empty when the step has no cache.
   std::vector<size_t> opcache_key_cols;
   std::vector<size_t> opcache_sum_cols;
   std::vector<size_t> opcache_cnt_cols;
   size_t opcache_count_col = 0;
+
+  // Registers (compiler-assigned): per AggregateInput, the output diffs,
+  // and the group keys the recompute probe reads.
+  std::vector<Input> inputs;
+  int out_update = -1;
+  int out_insert = -1;
+  int out_delete = -1;
+  int keys = -1;
+  PhysicalPlan probe;
 };
 
-// Resolves the step's bindings against `script` (output diff schemas) and
-// `db` (operator-cache schema). Fails with the
-// "aggregate output diffs not registered" error when an output diff is
-// missing, so a compile-time bind failure reproduces the runtime one.
+// Resolves the step's names against its input and output schemas, `script`
+// (output diff schemas) and `db` (the operator cache). Never aborts: a
+// name it cannot resolve is a CorruptScriptError, which the compiled step
+// returns when it runs.
 Status BindAggregateStep(const AggregateStep& step, const DeltaScript& script,
                          const Database& db, AggregateBindings* out);
 
-// Per-group accumulated deltas for the incremental γ rules. Equal-length
-// vectors, one slot per AggSpec of the step.
-struct GroupDelta {
-  std::vector<double> sum_delta;       // per spec: Σ arg_post − Σ arg_pre
-  std::vector<int64_t> nonnull_delta;  // per spec: Δ(#non-null args)
-  int64_t row_delta = 0;               // Δ(group cardinality)
-};
+// The recompute probe: the step's input post state semijoined with the
+// affected group keys, bound as the relation ref `keys_name`.
+PlanPtr RecomputeProbePlan(const AggregateStep& step,
+                           const std::string& keys_name,
+                           const Schema& key_schema);
 
-// Total order on group keys; the map's iteration order defines output diff
-// order, so every accumulation path must use it.
-struct GroupKeyLess {
-  bool operator()(const Row& a, const Row& b) const {
-    return CompareRows(a, b) < 0;
-  }
-};
-
-using GroupDeltaMap = std::map<Row, GroupDelta, GroupKeyLess>;
-
-// A compiled drop-in for the per-tuple Contribute() loop: folds a whole
-// input relation into the group-delta map with one virtual call per
-// relation instead of per tuple. Implementations (src/exec's specialized
-// γ kernels) must produce deltas bit-identical to Contribute() — same
-// key projection, same NULL handling, same accumulation order within the
-// relation — because the map contents feed the byte-compared output diffs.
-class AggAccumulator {
- public:
-  virtual ~AggAccumulator() = default;
-
-  // Folds `rel` into `deltas` with `sign` (+1 post-images, −1 pre-images).
-  virtual void Accumulate(const Relation& rel, double sign,
-                          GroupDeltaMap* deltas) = 0;
-};
-
-// Executes one AggregateStep against `transients`. Charges stored-table
-// accesses (opcache DML, recompute probe plans); transient reads are free.
+// Executes one bound AggregateStep over the VM's register file `regs`.
+// Charges stored-table accesses (opcache DML, the recompute probe);
+// register reads are free.
 class AggregateExecutor {
  public:
-  AggregateExecutor(Database* db, const AggregateStep& step,
-                    TransientAccess* transients)
-      : db_(db), step_(step), transients_(transients) {}
+  // `undo` records opcache mutations; may be null (no capture). The probe
+  // runs in `ctx` over `reg_ptrs`, the registers' addresses.
+  AggregateExecutor(Database* db, EpochUndo* undo, const AggregateStep& step,
+                    const AggregateBindings& bindings, Relation* regs,
+                    const Relation* const* reg_ptrs, const EvalContext& ctx);
 
-  // Output-diff schema lookup for runtime binding (ignored when prebound
-  // bindings are supplied).
-  void set_script(const DeltaScript* script) { script_schema_lookup_ = script; }
-  // Undo log for opcache mutations; may be null (no capture).
-  void set_undo(EpochUndo* undo) { undo_ = undo; }
-  // Prebound bindings from BindAggregateStep; when null, Run() binds from
-  // the script at runtime.
-  void set_bindings(const AggregateBindings* bindings) {
-    prebound_ = bindings;
-  }
-  // Specialized accumulation kernel; when null, the generic per-tuple
-  // Contribute() loop runs.
-  void set_accumulator(AggAccumulator* accumulator) {
-    accumulator_ = accumulator;
-  }
-
+  // Writes the output diffs to their registers.
   Status Run();
 
  private:
+  // Per-group accumulators, one slot per AggSpec: signed deltas for the
+  // incremental rules, a group's post-state totals (and extremes) for
+  // recompute.
+  struct GroupAcc {
+    int64_t rows = 0;              // Δ(group cardinality)
+    std::vector<int64_t> nonnull;  // per spec: Δ(#non-null args)
+    std::vector<double> sums;      // per spec: Σ arg_post − Σ arg_pre
+    std::vector<Value> mins;       // recompute only
+    std::vector<Value> maxs;
+  };
+  // Ordered by group key: iteration order defines output diff order.
+  using GroupMap = std::map<Row, GroupAcc, RowLess>;
+
   // How RecomputeGroups emits diffs for groups that still exist.
   enum class EmitMode {
     // Deltas are exact: classify via count_pre into insert vs update; the
@@ -143,36 +120,31 @@ class AggregateExecutor {
     kUpdateAndInsert,
   };
 
-  Status Rows(const std::string& name, const Relation** out);
-  Status BindSpecs();
-  void Contribute(const Row& row, double sign);
-  // One input relation through the kernel (when set) or Contribute().
-  void Fold(const Relation& rel, double sign);
-  Status AccumulateDeltas();
-  bool DeltaIsZero(const GroupDelta& d) const;
-  Value Finalize(size_t k, double sum, int64_t nonnull, int64_t rows);
+  // Folds `rel` into `groups` with `sign` (+1 post-images, −1 pre-images),
+  // tracking MIN/MAX when `extremes`.
+  void Fold(const Relation& rel, double sign, bool extremes,
+            GroupMap* groups);
+  static bool DeltaIsZero(const GroupAcc& d);
+  Value Finalize(size_t k, double sum, int64_t nonnull, int64_t rows) const;
   void RunIncrementalDirect();
   Status RunIncrementalWithOpcache();
-  void RunRecompute();
-  void RecomputeGroups(const std::vector<Row>& keys, EmitMode mode);
-  void EmitOutputs();
+  // Recomputes the groups in the keys register from the input's post
+  // state.
+  void RecomputeGroups(EmitMode mode);
 
   Database* db_;
+  EpochUndo* undo_;
   const AggregateStep& step_;
-  TransientAccess* transients_;
-  const DeltaScript* script_schema_lookup_ = nullptr;
-  EpochUndo* undo_ = nullptr;
-  const AggregateBindings* prebound_ = nullptr;
-  AggAccumulator* accumulator_ = nullptr;
+  const AggregateBindings& b_;
+  Relation* regs_;
+  const Relation* const* reg_ptrs_;
+  const EvalContext& ctx_;
 
-  // Runtime-bound storage (used when `prebound_` is null).
-  AggregateBindings runtime_bindings_;
-  // The active bindings: `prebound_` or `&runtime_bindings_`.
-  const AggregateBindings* bindings_ = nullptr;
-  GroupDeltaMap deltas_;
-  std::unique_ptr<DiffInstance> update_;
-  std::unique_ptr<DiffInstance> insert_;
-  std::unique_ptr<DiffInstance> delete_;
+  Row key_;  // the fold's reused group-key buffer
+  GroupMap deltas_;
+  Relation update_;
+  Relation insert_;
+  Relation delete_;
 };
 
 }  // namespace idivm

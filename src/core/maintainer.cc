@@ -56,11 +56,6 @@ Relation ReconstructPreState(const Table& table,
                              const std::vector<Modification>& net) {
   Relation post = table.SnapshotUncounted();
   const std::vector<size_t>& keys = table.key_indices();
-  struct RowLess {
-    bool operator()(const Row& a, const Row& b) const {
-      return CompareRows(a, b) < 0;
-    }
-  };
   // key -> (drop | replace-with-pre)
   std::map<Row, std::optional<Row>, RowLess> adjust;
   std::vector<Row> re_add;

@@ -88,18 +88,9 @@ void ViewManager::DropView(const std::string& name) {
 }
 
 void ViewManager::RecomputeAllViews() {
-  for (auto& [name, maintainer] : views_) {
-    const PlanPtr plan = maintainer->view().plan;
-    CompilerOptions options = maintainer->view().options;
-    // A restart-time rematerialization is real work; charge it (unlike
-    // view-definition time, which the cost model treats as free).
-    options.charge_materialization = true;
-    for (const std::string& cache : maintainer->view().cache_tables) {
-      db_->DropTable(cache);
-    }
-    db_->DropTable(name);
-    maintainer = std::make_unique<Maintainer>(
-        db_, CompileView(name, plan, *db_, options));
+  for (size_t i = 0; i < views_.size(); ++i) {
+    const Status status = TryRecomputeView(i, nullptr);
+    IDIVM_CHECK(status.ok(), status.ToString());
   }
   // Rematerializing everything is also the repair of last resort.
   quarantined_.clear();

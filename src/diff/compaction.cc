@@ -7,16 +7,6 @@
 
 namespace idivm {
 
-namespace {
-
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    return CompareRows(a, b) < 0;
-  }
-};
-
-}  // namespace
-
 std::vector<Modification> ComputeNetChanges(
     const Schema& schema, const std::vector<size_t>& key_indices,
     const std::vector<Modification>& ordered) {

@@ -9,12 +9,6 @@ namespace idivm {
 
 namespace {
 
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    return CompareRows(a, b) < 0;
-  }
-};
-
 bool CheckInsert(const DiffInstance& diff, const Relation& post,
                  std::string* why) {
   // Every inserted tuple must exist in the post-state.

@@ -10,43 +10,11 @@
 #include "src/algebra/physical_plan.h"
 #include "src/common/str_util.h"
 #include "src/core/step_access.h"
-#include "src/expr/analysis.h"
 #include "src/obs/metrics.h"
 
 namespace idivm {
 namespace exec {
 namespace {
-
-// True when BindAggregateStep can run without tripping a schema-resolution
-// CHECK. When false the program carries no prebound γ bindings and the
-// executor binds when the step runs — hitting the failure there, at the
-// step that owns it.
-bool CanBindAggregate(const AggregateStep& step, const Database& db) {
-  const std::set<std::string> in_cols = step.input_schema.ColumnNameSet();
-  for (const std::string& g : step.group_by) {
-    if (in_cols.count(g) == 0) return false;
-  }
-  for (const AggSpec& spec : step.aggs) {
-    if (spec.arg == nullptr) continue;
-    for (const std::string& c : ReferencedColumns(spec.arg)) {
-      if (in_cols.count(c) == 0) return false;
-    }
-  }
-  if (step.mode == AggregateStep::Mode::kIncremental &&
-      !step.opcache_table.empty() && db.HasTable(step.opcache_table)) {
-    const std::set<std::string> cache_cols =
-        db.GetTable(step.opcache_table).schema().ColumnNameSet();
-    for (const std::string& g : step.group_by) {
-      if (cache_cols.count(g) == 0) return false;
-    }
-    for (const AggSpec& spec : step.aggs) {
-      if (cache_cols.count(StrCat("__sum_", spec.name)) == 0) return false;
-      if (cache_cols.count(StrCat("__cnt_", spec.name)) == 0) return false;
-    }
-    if (cache_cols.count("__count") == 0) return false;
-  }
-  return true;
-}
 
 class ScriptCompiler {
  public:
@@ -265,28 +233,61 @@ class ScriptCompiler {
       const AggregateStep& ag = *step.aggregate;
       op.kind = MicroOp::Kind::kAggregate;
       op.name = ag.node_name;
-      op.agg = &*step.aggregate;
-      if (CanBindAggregate(ag, db_)) {
-        const Status st =
-            BindAggregateStep(ag, p_->script, db_, &op.bindings);
-        op.has_bindings = st.ok();
-      }
-      // Specialize the accumulation loop when every aggregate argument is
-      // a plain column reference (kernel eligibility); the prebound
-      // bindings supply the group-key offsets.
-      if (op.has_bindings) op.kernel = BuildAggKernel(ag, op.bindings);
-      for (const std::string& out_name :
-           {ag.out_update, ag.out_insert, ag.out_delete}) {
-        const DiffSchema* ds = p_->script.FindDiffSchema(out_name);
-        if (ds != nullptr) {
-          Slot(out_name, ds->relation_schema());
-          BindStatic(out_name, ds->relation_schema());
-        } else {
-          Slot(out_name, Schema());
-        }
-      }
+      op.agg = &ag;
+      op.agg_status = BindAggregate(i, ag, &op.bindings);
     }
     return op;
+  }
+
+  // Binds γ step `i` (BindAggregateStep), then assigns its registers and
+  // lowers its recompute probe. A γ input no earlier step publishes is a
+  // CorruptScriptError too. The outputs are statically bound only when the
+  // step binds: otherwise the epoch fails at this step, before any reader.
+  Status BindAggregate(size_t i, const AggregateStep& ag,
+                       AggregateBindings* b) {
+    IDIVM_RETURN_IF_ERROR(BindAggregateStep(ag, p_->script, db_, b));
+    const auto input_slot = [this](const std::string& name, int* slot) {
+      const auto it = bound_.find(name);
+      if (it == bound_.end()) {
+        return CorruptScriptError(StrCat("γ input rows missing: ", name));
+      }
+      *slot = Slot(name, it->second);
+      return OkStatus();
+    };
+    for (const AggregateInput& in : ag.inputs) {
+      AggregateBindings::Input regs;
+      if (in.type != DiffType::kInsert) {
+        IDIVM_RETURN_IF_ERROR(input_slot(in.pre_rows, &regs.pre));
+      }
+      if (in.type != DiffType::kDelete) {
+        IDIVM_RETURN_IF_ERROR(input_slot(in.post_rows, &regs.post));
+      }
+      b->inputs.push_back(regs);
+    }
+    // The group keys get a register of their own, which only the probe
+    // reads.
+    const std::string keys_name = StrCat("__gkeys_", i);
+    b->keys = Slot(keys_name, b->key_schema);
+    const PlanPtr probe = RecomputeProbePlan(ag, keys_name, b->key_schema);
+    if (ScanTablesExist(probe)) {
+      const RefBinder bind = [&](const PlanNode& ref, Schema* schema) {
+        if (ref.ref_name() != keys_name) return BindRef(ref, schema);
+        *schema = b->key_schema;
+        return b->keys;
+      };
+      b->probe = LowerPlan(probe, db_, bind);
+    } else {
+      b->probe = FallbackPlan(probe);  // faults if and when it runs
+    }
+    const auto output_slot = [this](const std::string& name,
+                                    const DiffSchema& ds) {
+      BindStatic(name, ds.relation_schema());
+      return Slot(name, ds.relation_schema());
+    };
+    b->out_update = output_slot(ag.out_update, *b->update);
+    b->out_insert = output_slot(ag.out_insert, *b->insert);
+    b->out_delete = output_slot(ag.out_delete, *b->del);
+    return OkStatus();
   }
 
   CompiledProgram* p_;

@@ -2,7 +2,8 @@
 // CompiledProgram (program.h) executed by the register VM (vm.h). Every
 // decision that depends only on the script and the stored schemas — each
 // compute step's physical plan (the same lowering Evaluate uses), diff-schema
-// lookups, γ bindings and kernels, step fusion — is made once here.
+// lookups, each γ step's bindings, registers and recompute probe, step
+// fusion — is made once here.
 // Subtrees that cannot be bound at compile time (statically-unbound
 // relation refs, scans of missing tables) lower to fallback ops that call
 // Evaluate when they run.

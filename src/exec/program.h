@@ -4,15 +4,14 @@
 // A CompiledProgram lowers a DeltaScript into a flat instruction list over
 // slot registers (one per transient relation name). Everything that depends
 // only on the script and the stored schemas — each compute step's physical
-// plan (physical_plan.h), diff-schema lookups, γ bindings and kernels, step
-// labels and footprints — is resolved once, when the maintainer compiles
-// its view on its first epoch.
+// plan (physical_plan.h), diff-schema lookups, each γ step's bindings and
+// recompute probe, step labels and footprints — is resolved once, when the
+// maintainer compiles its view on its first epoch.
 
 #ifndef IDIVM_EXEC_PROGRAM_H_
 #define IDIVM_EXEC_PROGRAM_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "src/core/aggregate_exec.h"
 #include "src/core/delta_script.h"
 #include "src/core/step_access.h"
-#include "src/exec/agg_kernel.h"
 
 namespace idivm {
 namespace exec {
@@ -65,12 +63,8 @@ struct MicroOp {
   std::vector<ExtraApply> extras;
   // kAggregate
   const AggregateStep* agg = nullptr;
-  bool has_bindings = false;
-  AggregateBindings bindings;
-  // Specialized accumulation kernel (null: generic Contribute loop).
-  // Stateless after construction, so every epoch of the program can run it
-  // from any thread.
-  std::shared_ptr<AggKernel> kernel;
+  Status agg_status;           // a binding error, returned when the step runs
+  AggregateBindings bindings;  // valid when agg_status is OK
 };
 
 // One schedulable unit: a maximal fused run of micro-ops. Its footprint is

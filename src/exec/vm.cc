@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "src/algebra/physical_plan.h"
-#include "src/common/check.h"
 #include "src/common/str_util.h"
 #include "src/common/thread_pool.h"
 #include "src/core/aggregate_exec.h"
@@ -43,8 +42,8 @@ struct ExecState {
     }
   }
 
-  // The context Evaluate runs in for fallback plans and γ recompute
-  // probes: every register published so far, bound by name.
+  // The context Evaluate runs in for fallback plans: every register
+  // published so far, bound by name.
   EvalContext BoundContext() {
     EvalContext bound = ctx;
     std::unique_lock<std::mutex> lock(mutex, std::defer_lock);
@@ -54,40 +53,6 @@ struct ExecState {
     }
     return bound;
   }
-};
-
-// ---- γ bridge --------------------------------------------------------------
-
-// TransientAccess over the register file. γ instructions run exclusively
-// (their footprint conflicts with everything), so no locking is needed.
-class SlotTransientAccess : public TransientAccess {
- public:
-  explicit SlotTransientAccess(ExecState* st) : st_(st) {}
-
-  const Relation* Find(const std::string& name) override {
-    const auto it = st_->p->slot_index.find(name);
-    if (it == st_->p->slot_index.end()) return nullptr;
-    if (st_->written[it->second] == 0) return nullptr;
-    return &st_->regs[it->second];
-  }
-
-  void Publish(const std::string& name, Relation rel) override {
-    const auto it = st_->p->slot_index.find(name);
-    IDIVM_CHECK(it != st_->p->slot_index.end(),
-                StrCat("γ publish to unknown slot: ", name));
-    st_->regs[it->second] = std::move(rel);
-    st_->written[it->second] = 1;
-  }
-
-  Relation EvaluateScoped(const PlanPtr& plan, const std::string& scratch_name,
-                          const Relation& scratch) override {
-    EvalContext ctx = st_->BoundContext();
-    ctx.transient[scratch_name] = &scratch;
-    return Evaluate(plan, ctx);
-  }
-
- private:
-  ExecState* st_;
 };
 
 // ---- Micro-op / instruction execution --------------------------------------
@@ -206,22 +171,22 @@ Status RunMicroOp(ExecState& st, const MicroOp& op, Piped* piped,
       break;
     }
     case MicroOp::Kind::kAggregate: {
-      SlotTransientAccess transients(&st);
-      AggregateExecutor exec(env.db, *op.agg, &transients);
-      exec.set_script(&st.p->script);
-      exec.set_undo(env.undo);
-      if (op.has_bindings) exec.set_bindings(&op.bindings);
-      if (op.kernel != nullptr) {
-        exec.set_accumulator(op.kernel.get());
-        static obs::Counter& hits =
-            obs::GlobalCounter("idivm_agg_kernel_hits_total");
-        hits.Increment(1);
-      } else {
-        static obs::Counter& misses =
-            obs::GlobalCounter("idivm_agg_kernel_misses_total");
-        misses.Increment(1);
-      }
+      IDIVM_RETURN_IF_ERROR(op.agg_status);
+      // Hits fold only plain columns; misses evaluate an expression.
+      static obs::Counter& hits =
+          obs::GlobalCounter("idivm_agg_kernel_hits_total");
+      static obs::Counter& misses =
+          obs::GlobalCounter("idivm_agg_kernel_misses_total");
+      (op.bindings.has_expr_arg ? misses : hits).Increment(1);
+      AggregateExecutor exec(env.db, env.undo, *op.agg, op.bindings,
+                             st.regs.data(), st.reg_ptrs.data(), ctx);
       IDIVM_RETURN_IF_ERROR(exec.Run());
+      // γ instructions run exclusively (their footprint conflicts with
+      // everything), so the outputs need no lock.
+      for (const int slot : {op.bindings.out_update, op.bindings.out_insert,
+                             op.bindings.out_delete}) {
+        st.written[slot] = 1;
+      }
       break;
     }
   }
@@ -239,10 +204,10 @@ Status RunInstruction(ExecState& st, const Instruction& inst) {
   const ExecEnv& env = *st.env;
   Piped piped;
   for (const MicroOp& op : inst.ops) {
-    // Fallback plans evaluate against the registers published before the
-    // micro-op starts.
+    // Fallback plans (in a compute's query or a γ's recompute probe)
+    // evaluate against the registers published before the micro-op starts.
     std::optional<EvalContext> bound;
-    if (op.kind == MicroOp::Kind::kCompute && op.plan.has_fallback) {
+    if (op.plan.has_fallback || op.bindings.probe.has_fallback) {
       bound = st.BoundContext();
     }
     const EvalContext& ctx = bound.has_value() ? *bound : st.ctx;

@@ -81,11 +81,6 @@ class TableVersion {
   size_t ApproxOwnBytes() const { return own_bytes_; }
 
  private:
-  struct RowLess {
-    bool operator()(const Row& a, const Row& b) const {
-      return CompareRows(a, b) < 0;
-    }
-  };
   // The shared materialized state some ancestor version froze. Its deleter
   // charges idivm_snapshot_gc_bytes_total when the last sharing version
   // dies.

@@ -8,11 +8,6 @@
 
 namespace idivm {
 
-void EpochUndo::Record(Table* table, Modification mod) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.emplace_back(table, std::move(mod));
-}
-
 namespace {
 
 size_t ApproxRowBytes(const Row& row) {

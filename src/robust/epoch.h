@@ -9,9 +9,9 @@
 // loop) accumulate one before-image *region* per (epoch, table, APPLY/γ
 // step) and hand it over with a single RecordBatch call — one lock
 // acquisition per step instead of one per touched row. The region is
-// flattened into the same per-row entry sequence Record would have
-// produced, so size(), RollBack(), MoveEntriesTo() (the MVCC redo
-// hand-off) and TakeEntries() observe byte-identical per-tuple order.
+// flattened into one entry per touched row, in application order, so
+// size(), RollBack(), MoveEntriesTo() (the MVCC redo hand-off) and
+// TakeEntries() observe per-tuple order whatever the batch boundaries.
 //
 // Ordering under parallel execution: APPLYs to one target are serialized
 // by the DAG scheduler and blocking γ steps run exclusively (barriers), so
@@ -40,16 +40,13 @@ class EpochUndo {
   EpochUndo(const EpochUndo&) = delete;
   EpochUndo& operator=(const EpochUndo&) = delete;
 
-  // Records one applied mutation of `table`. Inserts carry `post`, deletes
-  // `pre`, updates both (full rows). Thread-safe.
-  void Record(Table* table, Modification mod);
-
   // Records a whole before-image region — every mutation one APPLY/γ step
   // made to `table`, in application order — under a single lock
-  // acquisition. Equivalent to calling Record once per element of `mods`;
-  // the batch boundary is observable only through the contract-v5
-  // counters (idivm_undo_batches_total, idivm_undo_batched_bytes_total).
-  // No-op for an empty batch. Thread-safe.
+  // acquisition, as one entry per element of `mods`. Inserts carry `post`,
+  // deletes `pre`, updates both (full rows). The batch boundary is
+  // observable only through the contract-v5 counters
+  // (idivm_undo_batches_total, idivm_undo_batched_bytes_total). No-op for
+  // an empty batch. Thread-safe.
   void RecordBatch(Table* table, std::vector<Modification> mods);
 
   size_t size() const;

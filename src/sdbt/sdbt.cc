@@ -127,11 +127,6 @@ MaintainResult SdbtDevicesParts::Maintain(
     cost->seconds += std::chrono::duration<double>(t1 - t0).count();
   };
 
-  struct RowLess {
-    bool operator()(const Row& a, const Row& b) const {
-      return CompareRows(a, b) < 0;
-    }
-  };
   std::map<Row, double, RowLess> group_delta;  // did -> Σ price delta
 
   // Maintain the auxiliary views that contain parts attributes

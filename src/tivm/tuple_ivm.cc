@@ -17,12 +17,6 @@ namespace idivm {
 
 namespace {
 
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    return CompareRows(a, b) < 0;
-  }
-};
-
 // Shadow-column name for a (pre-value of) column.
 std::string ShadowName(const std::string& col) { return "__told_" + col; }
 

@@ -25,6 +25,14 @@ Row ProjectRow(const Row& row, const std::vector<size_t>& cols);
 // Lexicographic comparison of full rows under Value::Compare.
 int CompareRows(const Row& a, const Row& b);
 
+// The strict weak order CompareRows defines, for ordered containers keyed
+// on rows.
+struct RowLess {
+  bool operator()(const Row& a, const Row& b) const {
+    return CompareRows(a, b) < 0;
+  }
+};
+
 // A bag of rows under a schema.
 class Relation {
  public:

@@ -183,9 +183,10 @@ TEST_F(AggMaintTest, CountStarVsCountArg) {
   EXPECT_EQ((*row)[2].AsInt64(), 1);  // non-null values
 }
 
-// The running example's γ step aggregates a plain column, so its program
-// folds deltas through a specialized kernel: the kernel hit counter rises
-// and the generic-loop miss counter does not.
+// The running example's γ step aggregates a plain column, which the fold
+// reads in place: the hit counter rises and the miss counter does not. A γ
+// over SUM(x + x) evaluates its argument, which counts one miss and no
+// hit; both views stay equal to recomputation.
 TEST_F(AggMaintTest, RunningExampleAggEngagesKernel) {
   testing::LoadRunningExample(&db_);
   Maintainer m(&db_, CompileView("vp", testing::RunningExampleAggPlan(db_),
@@ -206,6 +207,22 @@ TEST_F(AggMaintTest, RunningExampleAggEngagesKernel) {
   Check(m, logger);
   EXPECT_GT(counter("idivm_agg_kernel_hits_total"), hits0);
   EXPECT_EQ(counter("idivm_agg_kernel_misses_total"), misses0);
+
+  const PlanPtr doubled_plan = PlanNode::Aggregate(
+      PlanNode::Scan("m"), {"grp"},
+      {{AggFunc::kSum, Add(Col("x"), Col("x")), "total"}});
+  Maintainer doubled(&db_, CompileView("vx", doubled_plan, db_));
+  // A value change (additive update) and a new group (recompute probe).
+  ASSERT_TRUE(logger.Update("m", {Value(int64_t{1})}, {"x"}, {Value(15.0)}));
+  ASSERT_TRUE(logger.Insert("m", {Value(int64_t{5}), Value("c"), Value(7.0)}));
+  const int64_t hits1 = counter("idivm_agg_kernel_hits_total");
+  const int64_t misses1 = counter("idivm_agg_kernel_misses_total");
+  Check(doubled, logger);
+  EXPECT_EQ(counter("idivm_agg_kernel_hits_total"), hits1);
+  EXPECT_EQ(counter("idivm_agg_kernel_misses_total"), misses1 + 1);
+  const auto row = db_.GetTable("vx").LookupByKeyUncounted({Value("a")});
+  ASSERT_TRUE(row.has_value());
+  EXPECT_DOUBLE_EQ((*row)[1].AsDouble(), 70.0);  // 2 * (15 + 20)
 }
 
 }  // namespace

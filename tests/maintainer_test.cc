@@ -1,6 +1,9 @@
 // Unit tests for the ∆-script executor: phase accounting, cache handling,
 // pre-state reconstruction, and the compiled-view plumbing.
 
+#include <string>
+#include <utility>
+
 #include "gtest/gtest.h"
 #include "src/core/compose.h"
 #include "src/core/maintainer.h"
@@ -147,6 +150,46 @@ TEST_F(MaintainerTest, FirstEpochCompilesAndFusesSteps) {
                 "idivm_fused_steps_total"),
             fused0);
   testing::ExpectViewMatchesRecompute(&db_, m.view().plan, "v");
+}
+
+// A γ step naming a column its input lacks — a damaged script, as a loaded
+// repository can carry — fails its epoch with kCorruptScript instead of
+// aborting the process, and the rollback leaves every table and the
+// AccessStats as they were: first for a group key, then for an argument.
+TEST_F(MaintainerTest, CorruptAggregateColumnFailsEpoch) {
+  const CompiledView view =
+      CompileView("vp", testing::RunningExampleAggPlan(db_), db_);
+  ModificationLogger logger(&db_);
+  ASSERT_TRUE(logger.Update("parts", {Value("P1")}, {"price"}, {Value(11.0)}));
+  ASSERT_TRUE(logger.Insert("devices_parts", {Value("D2"), Value("P2")}));
+  const auto net = logger.NetChanges();
+  const auto state = [this] {
+    std::string out = db_.stats().ToString();
+    for (const std::string& name : db_.TableNames()) {
+      out += "== " + name + " ==\n" +
+             db_.GetTable(name).SnapshotUncounted().Sorted().ToString();
+    }
+    return out;
+  };
+  const auto expect_corrupt = [&](CompiledView damaged) {
+    Maintainer m(&db_, std::move(damaged));
+    const std::string before = state();
+    MaintainResult result;
+    const Status status = m.TryMaintain(net, {}, &result);
+    EXPECT_EQ(status.code(), StatusCode::kCorruptScript) << status.ToString();
+    EXPECT_EQ(state(), before);
+  };
+  size_t g = 0;  // the view's γ step
+  for (; g < view.script.steps.size(); ++g) {
+    if (view.script.steps[g].aggregate.has_value()) break;
+  }
+  ASSERT_LT(g, view.script.steps.size());
+  CompiledView bad_key = view;
+  bad_key.script.steps[g].aggregate->group_by[0] = "no_such";
+  expect_corrupt(std::move(bad_key));
+  CompiledView bad_arg = view;
+  bad_arg.script.steps[g].aggregate->aggs[0].arg = Col("no_such");
+  expect_corrupt(std::move(bad_arg));
 }
 
 }  // namespace
