@@ -4,7 +4,6 @@
 
 #include "src/algebra/physical_plan.h"
 #include "src/common/check.h"
-#include "src/common/str_util.h"
 
 namespace idivm {
 
@@ -65,17 +64,6 @@ std::vector<Row> IndexedRelation::Probe(const std::vector<size_t>& columns,
 
 Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
   IDIVM_CHECK(ctx.db != nullptr, "EvalContext requires a database");
-  if (plan->kind() == PlanKind::kRelationRef &&
-      plan->ref_name().rfind("__empty", 0) != 0) {
-    // A bare ref — also what a ref lowering could not bind falls back to.
-    const auto it = ctx.transient.find(plan->ref_name());
-    IDIVM_CHECK(it != ctx.transient.end(),
-                StrCat("unbound relation ref: ", plan->ref_name()));
-    IDIVM_CHECK(it->second->schema().ColumnNames() ==
-                    plan->ref_schema().ColumnNames(),
-                StrCat("relation ref schema mismatch for ", plan->ref_name()));
-    return *it->second;  // transient: reads are free
-  }
   std::vector<const Relation*> regs;
   const RefBinder bind = [&](const PlanNode& ref, Schema* schema) {
     const auto it = ctx.transient.find(ref.ref_name());
@@ -87,8 +75,9 @@ Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
     regs.push_back(it->second);
     return static_cast<int>(regs.size()) - 1;
   };
-  const PhysicalPlan physical = LowerPlan(plan, *ctx.db, bind);
-  return RunPlan(physical, ctx, regs.data());
+  const StatusOr<PhysicalPlan> physical = LowerPlan(plan, *ctx.db, bind);
+  IDIVM_CHECK(physical.ok(), physical.status().message());
+  return RunPlan(physical.value(), ctx, regs.data());
 }
 
 }  // namespace idivm

@@ -77,9 +77,9 @@ struct EvalContext {
 };
 
 // Evaluates `plan` to a materialized relation: lowers it against `ctx`'s
-// stored schemas and transient bindings, then runs it. Every table the
-// plan scans must exist. Referencing an unbound transient (or one bound
-// with other columns) fails a check when that ref is evaluated.
+// stored schemas and transient bindings, then runs it. The plan must lower
+// (LowerPlan): a missing table or column, or a ref `ctx` does not bind with
+// the ref's columns, fails a check before any row is read.
 Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx);
 
 }  // namespace idivm

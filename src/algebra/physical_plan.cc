@@ -158,6 +158,10 @@ class Lowering {
   Lowering(const Database& db, const RefBinder& bind, PhysicalPlan* out)
       : db_(db), bind_(bind), out_(out) {}
 
+  // The first ref that did not bind; the plan itself has passed
+  // TryInferSchema, so nothing else in it can fail to bind.
+  const Status& status() const { return status_; }
+
   int Plan(const PlanPtr& plan) {
     switch (plan->kind()) {
       case PlanKind::kScan: {
@@ -175,15 +179,19 @@ class Lowering {
           op.out_schema = plan->ref_schema();
           return Add(std::move(op));
         }
+        op.kind = PlanOp::Kind::kSlotRef;
         op.slot = bind_(*plan, &op.out_schema);
-        if (op.slot >= 0) {
-          op.kind = PlanOp::Kind::kSlotRef;
-          return Add(std::move(op));
+        if (op.slot < 0) {
+          // Lower the rest against the ref's own columns, which
+          // TryInferSchema checked the plan with; the plan is discarded.
+          op.out_schema = plan->ref_schema();
+          if (status_.ok()) {
+            status_ = CorruptScriptError(
+                StrCat("unbound relation ref: ", plan->ref_name(),
+                       " (or bound with other columns than ",
+                       plan->ref_schema().ToString(), ")"));
+          }
         }
-        out_->has_fallback = true;
-        op.kind = PlanOp::Kind::kFallback;
-        op.out_schema = plan->ref_schema();
-        op.plan = plan;
         return Add(std::move(op));
       }
       case PlanKind::kSelect: {
@@ -489,6 +497,7 @@ class Lowering {
   const RefBinder& bind_;
   PhysicalPlan* out_;
   std::map<std::string, int> table_index_;
+  Status status_;
 };
 
 // ---- Running ----------------------------------------------------------------
@@ -998,8 +1007,6 @@ class Runner {
         return OpResult(Semi(op));
       case PlanOp::Kind::kAggregate:
         return OpResult(Aggregate(op));
-      case PlanOp::Kind::kFallback:
-        return OpResult(Evaluate(op.plan, ctx_));
     }
     IDIVM_UNREACHABLE("bad PlanOp kind");
   }
@@ -1012,21 +1019,13 @@ class Runner {
 
 }  // namespace
 
-PhysicalPlan LowerPlan(const PlanPtr& plan, const Database& db,
-                       const RefBinder& bind) {
+StatusOr<PhysicalPlan> LowerPlan(const PlanPtr& plan, const Database& db,
+                                 const RefBinder& bind) {
+  IDIVM_RETURN_IF_ERROR(TryInferSchema(plan, db).status());
   PhysicalPlan out;
-  out.root = Lowering(db, bind, &out).Plan(plan);
-  return out;
-}
-
-PhysicalPlan FallbackPlan(const PlanPtr& plan) {
-  PhysicalPlan out;
-  PlanOp op;
-  op.kind = PlanOp::Kind::kFallback;
-  op.plan = plan;
-  out.ops.push_back(std::move(op));
-  out.root = 0;
-  out.has_fallback = true;
+  Lowering lowering(db, bind, &out);
+  out.root = lowering.Plan(plan);
+  IDIVM_RETURN_IF_ERROR(lowering.status());
   return out;
 }
 

@@ -5,9 +5,11 @@
 // makes every decision the diff-driven loop plan of Section 6 needs — join
 // and semijoin strategy, probe-key subsets, expression binding, column
 // offsets — so running the result only moves rows and charges accesses.
-// Evaluate() (evaluator.h) lowers against its context and runs in one call;
-// the ∆-script compiler (src/exec) lowers each compute step once per program
-// and the register VM runs it every epoch.
+// Lowering binds every name the plan mentions or fails: the result never
+// resolves a name while it runs. Evaluate() (evaluator.h) lowers against
+// its context and runs in one call; the ∆-script compiler (src/exec) lowers
+// each compute step once per program and the register VM runs it every
+// epoch.
 //
 // Strategy selection, in order (joins and semijoins alike): a transient
 // (diff-only) left side driving keyed probes of a stored right side; a
@@ -29,6 +31,7 @@
 #include "src/algebra/evaluator.h"
 #include "src/algebra/plan.h"
 #include "src/expr/expr.h"
+#include "src/robust/status.h"
 #include "src/storage/database.h"
 
 namespace idivm {
@@ -82,9 +85,8 @@ struct PlanOp {
     kSemiHash,        // ⋉/⋉̄ hash fallback
     kSemiNl,          // ⋉/⋉̄ nested loop (no equi conjuncts)
     kAggregate,       // γ
-    kFallback,        // left unbound at lowering: Evaluate() at run time
   };
-  Kind kind = Kind::kFallback;
+  Kind kind = Kind::kScan;
   int child0 = -1;
   int child1 = -1;
   Schema out_schema;
@@ -112,37 +114,36 @@ struct PlanOp {
   // kAggregate
   std::vector<size_t> group_cols;
   std::vector<std::optional<BoundExpr>> agg_args;
-  // kAggregate (its AggSpecs) and kFallback (the deferred subtree)
+  // kAggregate: its AggSpecs
   PlanPtr plan;
 };
 
+// A lowered plan: ops and probe paths over stored tables named by id. Every
+// column offset, expression and register in it is bound; running it reads
+// no name but the tables'.
 struct PhysicalPlan {
   std::vector<PlanOp> ops;
   std::vector<ProbeOp> probes;
   std::vector<std::string> tables;  // stored tables, by table_id
   int root = -1;
-  bool has_fallback = false;  // some op is a kFallback
 };
 
 // Binds a transient RelationRef while lowering: returns the register the
 // ref reads and sets `*schema` to the bound relation's schema, or returns
-// -1 when the name is unbound (or bound with other columns) — the ref then
-// lowers to a kFallback op, so the unbound-ref check runs only if and when
-// the ref is actually evaluated.
+// -1 when the name is unbound or bound with other columns, which fails the
+// lowering.
 using RefBinder = std::function<int(const PlanNode& ref, Schema* schema)>;
 
-// Lowers `plan` against `db`'s stored schemas. Every table the plan scans
-// must exist (InferSchema checks).
-PhysicalPlan LowerPlan(const PlanPtr& plan, const Database& db,
-                       const RefBinder& bind);
-
-// A physical plan that defers the whole of `plan` to Evaluate at run time.
-PhysicalPlan FallbackPlan(const PlanPtr& plan);
+// Lowers `plan` against `db`'s stored schemas and the transients `bind`
+// resolves. A plan that does not bind — a missing table or column, an
+// unknown function, an unbound ref, clashing union or join schemas (see
+// TryInferSchema) — is a CorruptScriptError.
+StatusOr<PhysicalPlan> LowerPlan(const PlanPtr& plan, const Database& db,
+                                 const RefBinder& bind);
 
 // Runs `plan`. kSlotRef ops read `regs`; `ctx` supplies the stored tables,
-// the pre-state relations and the assist-unsafe set, and is the context
-// kFallback ops evaluate in. Each intermediate result is freed as soon as
-// its parent has consumed it.
+// the pre-state relations and the assist-unsafe set. Each intermediate
+// result is freed as soon as its parent has consumed it.
 Relation RunPlan(const PhysicalPlan& plan, const EvalContext& ctx,
                  const Relation* const* regs);
 

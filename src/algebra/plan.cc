@@ -1,7 +1,6 @@
 #include "src/algebra/plan.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/common/check.h"
 #include "src/common/str_util.h"
@@ -165,104 +164,135 @@ DataType TypeOfExpr(const ExprPtr& expr, const Schema& schema) {
 
 namespace {
 
-void CheckPredicateColumns(const ExprPtr& predicate, const Schema& schema,
-                           const std::string& where) {
-  for (const std::string& col : ReferencedColumns(predicate)) {
-    IDIVM_CHECK(schema.HasColumn(col),
-                StrCat(where, " references unknown column '", col,
-                       "' (schema ", schema.ToString(), ")"));
+// `expr` checked against `schema`, naming the operator it belongs to.
+Status CheckIn(const ExprPtr& expr, const Schema& schema, const char* where) {
+  const Status status = CheckExpr(expr, schema);
+  if (status.ok()) return status;
+  return CorruptScriptError(StrCat(where, ": ", status.message()));
+}
+
+// A schema of `cols` ++ `more`, whose names must be distinct. Plans carry
+// tens of columns, so a pairwise scan beats building a set.
+Status MakeSchema(std::vector<ColumnDef> cols, const char* where, Schema* out,
+                  const std::vector<ColumnDef>& more = {}) {
+  cols.insert(cols.end(), more.begin(), more.end());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (cols[i].name == cols[j].name) {
+        return CorruptScriptError(
+            StrCat(where, ": duplicate column name: ", cols[i].name));
+      }
+    }
   }
+  *out = Schema(std::move(cols));
+  return OkStatus();
+}
+
+Status Infer(const PlanPtr& plan, const Database& db, Schema* out) {
+  if (plan == nullptr) return CorruptScriptError("missing plan");
+  Schema left;
+  Schema right;
+  if (plan->kind() != PlanKind::kScan &&
+      plan->kind() != PlanKind::kRelationRef) {
+    IDIVM_RETURN_IF_ERROR(Infer(plan->child(0), db, &left));
+  }
+  if (plan->children().size() > 1) {
+    IDIVM_RETURN_IF_ERROR(Infer(plan->child(1), db, &right));
+  }
+  switch (plan->kind()) {
+    case PlanKind::kScan:
+      if (!db.HasTable(plan->table_name())) {
+        return CorruptScriptError(
+            StrCat("scan of missing table ", plan->table_name()));
+      }
+      *out = db.GetTable(plan->table_name()).schema();
+      return OkStatus();
+    case PlanKind::kRelationRef:
+      *out = plan->ref_schema();
+      return OkStatus();
+    case PlanKind::kSelect:
+      IDIVM_RETURN_IF_ERROR(CheckIn(plan->predicate(), left, "selection"));
+      *out = left;
+      return OkStatus();
+    case PlanKind::kProject: {
+      std::vector<ColumnDef> cols;
+      cols.reserve(plan->project_items().size());
+      for (const ProjectItem& item : plan->project_items()) {
+        IDIVM_RETURN_IF_ERROR(CheckIn(item.expr, left, "projection"));
+        cols.push_back({item.name, TypeOfExpr(item.expr, left)});
+      }
+      return MakeSchema(std::move(cols), "projection", out);
+    }
+    case PlanKind::kJoin:
+      IDIVM_RETURN_IF_ERROR(
+          MakeSchema(left.columns(), "join", out, right.columns()));
+      return CheckIn(plan->predicate(), *out, "join condition");
+    case PlanKind::kSemiJoin:
+    case PlanKind::kAntiSemiJoin: {
+      Schema combined;
+      IDIVM_RETURN_IF_ERROR(MakeSchema(left.columns(), "(anti)semijoin",
+                                       &combined, right.columns()));
+      IDIVM_RETURN_IF_ERROR(
+          CheckIn(plan->predicate(), combined, "(anti)semijoin condition"));
+      *out = left;
+      return OkStatus();
+    }
+    case PlanKind::kUnionAll: {
+      if (left.ColumnNames() != right.ColumnNames()) {
+        return CorruptScriptError(
+            StrCat("union all children must share column names: ",
+                   left.ToString(), " vs ", right.ToString()));
+      }
+      return MakeSchema(left.columns(), "union all", out,
+                        {{plan->branch_column(), DataType::kInt64}});
+    }
+    case PlanKind::kMaterialize:
+      *out = left;
+      return OkStatus();
+    case PlanKind::kCoalesceProbe:
+      if (left.ColumnNames() != right.ColumnNames()) {
+        return CorruptScriptError(
+            "coalesce-probe paths must share column names");
+      }
+      *out = right;
+      return OkStatus();
+    case PlanKind::kAggregate: {
+      std::vector<ColumnDef> cols;
+      for (const std::string& g : plan->group_by()) {
+        IDIVM_RETURN_IF_ERROR(CheckIn(Col(g), left, "group-by"));
+        cols.push_back({g, TypeOfExpr(Col(g), left)});
+      }
+      for (const AggSpec& agg : plan->aggregates()) {
+        const bool count = agg.func == AggFunc::kCount;
+        const bool avg = agg.func == AggFunc::kAvg;
+        if (agg.arg != nullptr) {
+          IDIVM_RETURN_IF_ERROR(CheckIn(agg.arg, left, "aggregate argument"));
+        } else if (!count && !avg) {
+          return CorruptScriptError(
+              StrCat(AggFuncName(agg.func), " needs an argument"));
+        }
+        cols.push_back({agg.name, count ? DataType::kInt64
+                                  : avg ? DataType::kDouble
+                                        : TypeOfExpr(agg.arg, left)});
+      }
+      return MakeSchema(std::move(cols), "aggregate", out);
+    }
+  }
+  IDIVM_UNREACHABLE("bad PlanKind");
 }
 
 }  // namespace
 
+StatusOr<Schema> TryInferSchema(const PlanPtr& plan, const Database& db) {
+  Schema out;
+  IDIVM_RETURN_IF_ERROR(Infer(plan, db, &out));
+  return out;
+}
+
 Schema InferSchema(const PlanPtr& plan, const Database& db) {
-  IDIVM_CHECK(plan != nullptr, "InferSchema(null)");
-  switch (plan->kind()) {
-    case PlanKind::kScan:
-      return db.GetTable(plan->table_name()).schema();
-    case PlanKind::kRelationRef:
-      return plan->ref_schema();
-    case PlanKind::kSelect: {
-      const Schema child = InferSchema(plan->child(0), db);
-      CheckPredicateColumns(plan->predicate(), child, "selection");
-      return child;
-    }
-    case PlanKind::kProject: {
-      const Schema child = InferSchema(plan->child(0), db);
-      std::vector<ColumnDef> cols;
-      cols.reserve(plan->project_items().size());
-      for (const ProjectItem& item : plan->project_items()) {
-        CheckPredicateColumns(item.expr, child, "projection");
-        cols.push_back({item.name, TypeOfExpr(item.expr, child)});
-      }
-      return Schema(std::move(cols));
-    }
-    case PlanKind::kJoin: {
-      const Schema left = InferSchema(plan->child(0), db);
-      const Schema right = InferSchema(plan->child(1), db);
-      Schema out = left.Extend(right.columns());  // checks collisions
-      CheckPredicateColumns(plan->predicate(), out, "join condition");
-      return out;
-    }
-    case PlanKind::kSemiJoin:
-    case PlanKind::kAntiSemiJoin: {
-      const Schema left = InferSchema(plan->child(0), db);
-      const Schema right = InferSchema(plan->child(1), db);
-      const Schema combined = left.Extend(right.columns());
-      CheckPredicateColumns(plan->predicate(), combined,
-                            "(anti)semijoin condition");
-      return left;
-    }
-    case PlanKind::kUnionAll: {
-      const Schema left = InferSchema(plan->child(0), db);
-      const Schema right = InferSchema(plan->child(1), db);
-      IDIVM_CHECK(left.ColumnNames() == right.ColumnNames(),
-                  StrCat("union all children must share column names: ",
-                         left.ToString(), " vs ", right.ToString()));
-      return left.Extend({{plan->branch_column(), DataType::kInt64}});
-    }
-    case PlanKind::kMaterialize:
-      return InferSchema(plan->child(0), db);
-    case PlanKind::kCoalesceProbe: {
-      const Schema primary = InferSchema(plan->child(0), db);
-      const Schema fallback = InferSchema(plan->child(1), db);
-      IDIVM_CHECK(primary.ColumnNames() == fallback.ColumnNames(),
-                  "coalesce-probe paths must share column names");
-      return fallback;
-    }
-    case PlanKind::kAggregate: {
-      const Schema child = InferSchema(plan->child(0), db);
-      std::vector<ColumnDef> cols;
-      for (const std::string& g : plan->group_by()) {
-        cols.push_back({g, child.column(child.ColumnIndex(g)).type});
-      }
-      for (const AggSpec& agg : plan->aggregates()) {
-        DataType type = DataType::kDouble;
-        switch (agg.func) {
-          case AggFunc::kCount:
-            type = DataType::kInt64;
-            break;
-          case AggFunc::kAvg:
-            type = DataType::kDouble;
-            break;
-          case AggFunc::kSum:
-          case AggFunc::kMin:
-          case AggFunc::kMax:
-            IDIVM_CHECK(agg.arg != nullptr,
-                        StrCat(AggFuncName(agg.func), " needs an argument"));
-            type = TypeOfExpr(agg.arg, child);
-            break;
-        }
-        if (agg.arg != nullptr) {
-          CheckPredicateColumns(agg.arg, child, "aggregate argument");
-        }
-        cols.push_back({agg.name, type});
-      }
-      return Schema(std::move(cols));
-    }
-  }
-  IDIVM_UNREACHABLE("bad PlanKind");
+  StatusOr<Schema> schema = TryInferSchema(plan, db);
+  IDIVM_CHECK(schema.ok(), schema.status().message());
+  return std::move(schema).value();
 }
 
 PlanPtr ProjectColumns(PlanPtr child, const std::vector<std::string>& names) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/expr/expr.h"
+#include "src/robust/status.h"
 #include "src/storage/database.h"
 #include "src/types/schema.h"
 
@@ -54,11 +55,13 @@ enum class AggFunc { kSum, kCount, kAvg, kMin, kMax };
 
 const char* AggFuncName(AggFunc func);
 
+// One output column of a generalized π: `expr` over the child, named.
 struct ProjectItem {
   ExprPtr expr;
   std::string name;
 };
 
+// One aggregate of a γ: `func` over `arg`, output as column `name`.
 struct AggSpec {
   AggFunc func = AggFunc::kSum;
   // Aggregated expression; null for COUNT(*) (row count).
@@ -69,6 +72,8 @@ struct AggSpec {
 class PlanNode;
 using PlanPtr = std::shared_ptr<const PlanNode>;
 
+// One immutable node of a logical plan; the accessors valid for a kind
+// are grouped under it. Built only through the factories below.
 class PlanNode {
  public:
   PlanKind kind() const { return kind_; }
@@ -133,11 +138,16 @@ class PlanNode {
 };
 
 // Infers an expression's result type under `schema` (best-effort static
-// typing; NULL-typed where unknown).
+// typing; NULL-typed where unknown). `expr` must pass CheckExpr.
 DataType TypeOfExpr(const ExprPtr& expr, const Schema& schema);
 
-// Computes the output schema of `plan`; Scans resolve against `db`.
-// Checks structural validity (arities, name uniqueness, column existence).
+// Computes the output schema of `plan`; Scans resolve against `db`. Checks
+// structural validity — every scanned table exists, every expression
+// passes CheckExpr, column names stay unique, union and coalesce inputs
+// agree — and returns the first violation as a CorruptScriptError.
+StatusOr<Schema> TryInferSchema(const PlanPtr& plan, const Database& db);
+
+// TryInferSchema for plans valid by construction; aborts on a violation.
 Schema InferSchema(const PlanPtr& plan, const Database& db);
 
 // ---- Convenience builders ----

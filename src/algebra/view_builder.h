@@ -35,6 +35,8 @@ AggSpec Avg(ExprPtr arg, std::string name);
 AggSpec Min(ExprPtr arg, std::string name);
 AggSpec Max(ExprPtr arg, std::string name);
 
+// Fluent construction of a view plan from a root table: joins, selections,
+// projections and aggregation in query order; Build returns the plan.
 class ViewBuilder {
  public:
   explicit ViewBuilder(const Database& db);

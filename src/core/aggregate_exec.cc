@@ -52,9 +52,10 @@ Status BindAggregateStep(const AggregateStep& step, const DeltaScript& script,
       IDIVM_RETURN_IF_ERROR(ResolveColumn(step, in, spec.arg->column_name(),
                                           "argument", &arg.col));
     } else if (spec.arg != nullptr) {
-      for (const std::string& c : ReferencedColumns(spec.arg)) {
-        size_t col = 0;
-        IDIVM_RETURN_IF_ERROR(ResolveColumn(step, in, c, "argument", &col));
+      const Status status = CheckExpr(spec.arg, in);
+      if (!status.ok()) {
+        return CorruptScriptError(StrCat("γ-maintain ", step.node_name,
+                                         ": argument ", status.message()));
       }
       arg.kind = AggregateBindings::Arg::Kind::kExpr;
       arg.expr.emplace(spec.arg, in);

@@ -68,8 +68,8 @@ struct AggregateBindings {
 
 // Resolves the step's names against its input and output schemas, `script`
 // (output diff schemas) and `db` (the operator cache). Never aborts: a
-// name it cannot resolve is a CorruptScriptError, which the compiled step
-// returns when it runs.
+// name it cannot resolve is a CorruptScriptError, which rejects the script
+// when its program is compiled.
 Status BindAggregateStep(const AggregateStep& step, const DeltaScript& script,
                          const Database& db, AggregateBindings* out);
 

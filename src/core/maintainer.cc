@@ -1,7 +1,5 @@
 #include "src/core/maintainer.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <utility>
 #include <vector>
@@ -88,7 +86,9 @@ Relation ReconstructPreState(const Table& table,
 }  // namespace
 
 Maintainer::Maintainer(Database* db, CompiledView view)
-    : db_(db), view_(std::move(view)) {
+    : db_(db),
+      view_(std::move(view)),
+      program_(exec::CompileProgram(view_, *db_)) {
   std::set<std::string> pre_tables;
   for (const ScriptStep& step : view_.script.steps) {
     if (step.compute.has_value()) {
@@ -114,6 +114,7 @@ MaintainResult Maintainer::Maintain(
 Status Maintainer::TryMaintain(
     const std::map<std::string, std::vector<Modification>>& net_changes,
     const MaintainOptions& options, MaintainResult* out) {
+  IDIVM_RETURN_IF_ERROR(program_.status());
   MaintainResult result;
   EpochUndo undo;
 
@@ -161,23 +162,10 @@ Status Maintainer::TryMaintain(
     }
   }
 
-  // The first epoch compiles the program; every later one reuses it.
-  // Compilation is charge-free: it reads only plan structure and stored
-  // schemas.
-  const bool compiles = program_ == nullptr;
-  const int64_t compile_start_us = trace != nullptr ? trace->NowMicros() : 0;
-  if (compiles) {
-    static obs::Counter& misses =
-        obs::GlobalCounter("idivm_program_cache_misses_total");
-    misses.Increment();
-    program_ = exec::CompileProgram(view_, *db_);
-  } else {
-    static obs::Counter& hits =
-        obs::GlobalCounter("idivm_program_cache_hits_total");
-    hits.Increment();
-  }
-  const int64_t compile_end_us = trace != nullptr ? trace->NowMicros() : 0;
-  const exec::CompiledProgram& program = *program_;
+  static obs::Counter& hits =
+      obs::GlobalCounter("idivm_program_cache_hits_total");
+  hits.Increment();
+  const exec::CompiledProgram& program = *program_.value();
   const std::vector<StepAccess>& steps = program.steps;
   const size_t n = steps.size();
   std::vector<StepRun> runs(n);
@@ -236,8 +224,6 @@ Status Maintainer::TryMaintain(
   // Merge: phase attribution, apply counters and the shared AccessStats
   // sinks, all on this thread in script order — identical to the sequential
   // totals whatever the execution interleaving was.
-  // Set IDIVM_TRACE_STEPS=1 to print per-step access costs (debugging).
-  static const bool trace_env = std::getenv("IDIVM_TRACE_STEPS") != nullptr;
   if (rule_counters_.empty()) {
     for (const StepAccess& step : steps) {
       rule_counters_.push_back(&obs::GlobalCounter(
@@ -249,11 +235,6 @@ Status Maintainer::TryMaintain(
     PhaseCost cost;
     cost.accesses = runs[i].arena.Sum(&db_->stats());
     cost.seconds = runs[i].seconds;
-    if (trace_env) {
-      std::fprintf(stderr, "[step %zu] %-40s %s\n", i,
-                   steps[i].label.c_str(),
-                   cost.accesses.ToString().c_str());
-    }
     epoch_accesses += cost.accesses;
     rule_counters_[i]->Increment(cost.accesses.TotalAccesses());
     if (trace != nullptr) {
@@ -318,20 +299,6 @@ Status Maintainer::TryMaintain(
     setup_span.dur_us = setup_end_us - epoch_start_us;
     setup_span.accesses = setup_accesses;
     trace->Record(std::move(setup_span));
-
-    if (compiles) {
-      obs::TraceSpan compile_span;
-      compile_span.name = StrCat("compile ", view_.view_name);
-      compile_span.category = "compile";
-      compile_span.tid = epoch_tid;
-      compile_span.start_us = compile_start_us;
-      compile_span.dur_us = compile_end_us - compile_start_us;
-      compile_span.args.emplace_back("steps", static_cast<int64_t>(n));
-      compile_span.args.emplace_back(
-          "instructions", static_cast<int64_t>(program.instructions.size()));
-      compile_span.args.emplace_back("fused_steps", program.fused_steps);
-      trace->Record(std::move(compile_span));
-    }
 
     obs::TraceSpan span;
     span.name = StrCat("epoch ", view_.view_name);

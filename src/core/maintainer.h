@@ -5,8 +5,9 @@
 // (diff computation / cache update / view update).
 //
 // A maintainer compiles its view's script into a CompiledProgram (src/exec)
-// on its first epoch and keeps it; every epoch runs that program on the
-// register VM. With MaintainOptions::threads > 1 the VM schedules the
+// when it is built and keeps it; every epoch runs that program on the
+// register VM. A script that does not compile is rejected then, before any
+// epoch. With MaintainOptions::threads > 1 the VM schedules the
 // program over the rule DAG (Fig. 6): instructions whose input diffs are
 // ready and whose stored-table accesses do not conflict run concurrently on
 // a thread pool, so the independent per-base-table diff chains of the
@@ -75,8 +76,7 @@ struct MaintainOptions {
   int64_t max_epoch_ops = 0;
   // Span recorder for this epoch (docs/OBSERVABILITY.md). nullptr falls
   // back to obs::GlobalTrace(); tracing is off when both are null. A
-  // committed epoch records one "epoch" span, one "setup" span, one
-  // charge-free "compile" span when it compiled the program, and one
+  // committed epoch records one "epoch" span, one "setup" span and one
   // "rule" span per ∆-script step (APPLY steps get a nested "apply" span),
   // each carrying its exact AccessStats delta; a failed epoch records only
   // the "epoch" span, marked failed=1, since its charges rolled back.
@@ -107,10 +107,15 @@ struct MaintainResult {
 class Maintainer {
  public:
   // `db` must outlive the maintainer; `view` is the compiled view whose
-  // script this maintainer executes.
+  // script this maintainer executes. Compiles the script against `db`'s
+  // schemas; a script that does not compile leaves the maintainer without
+  // a program, and every epoch fails with compile_status().
   Maintainer(Database* db, CompiledView view);
 
   const CompiledView& view() const { return view_; }
+
+  // OK, or why the view's script did not compile (kCorruptScript).
+  const Status& compile_status() const { return program_.status(); }
 
   // Runs the ∆-script for the given net base-table changes (from
   // ModificationLogger::NetChanges). Does not clear any log. Aborts the
@@ -122,11 +127,13 @@ class Maintainer {
 
   // Fault-isolated epoch execution: runs the ∆-script recording an undo
   // entry per stored-table row it mutates (view, caches, γ operator
-  // caches). On any failure — corrupt script, apply conflict, exhausted op
-  // budget, injected fault, from any worker thread — every table is rolled
-  // back to its pre-epoch contents, no AccessStats are published (per-step
-  // arenas are simply dropped), `*result` is left untouched, and the error
-  // is returned. On success behaves exactly like Maintain.
+  // caches). A script that did not compile returns compile_status()
+  // before the epoch's setup. On any other failure — apply conflict,
+  // exhausted op budget, injected fault, expired deadline, from any worker
+  // thread — every table is rolled back to its pre-epoch contents, no
+  // AccessStats are published (per-step arenas are simply dropped),
+  // `*result` is left untouched, and the error is returned. On success
+  // behaves exactly like Maintain.
   Status TryMaintain(
       const std::map<std::string, std::vector<Modification>>& net_changes,
       const MaintainOptions& options, MaintainResult* result);
@@ -148,14 +155,15 @@ class Maintainer {
   ApplyObserver apply_observer_;
   Database* db_;
   CompiledView view_;
-  // Tables the script reads in pre-state (computed once from the script).
-  std::vector<std::string> pre_state_tables_;
-  // The view's program, compiled by the first epoch (one
-  // idivm_program_cache_misses_total) and kept; every later epoch counts an
+  // The view's program, compiled by the constructor (one
+  // idivm_program_cache_misses_total) and kept, or why the script did not
+  // compile; every epoch that runs it counts an
   // idivm_program_cache_hits_total. Every catalog change builds new
   // maintainers, so a kept program never outlives the schemas it was
   // compiled against.
-  std::shared_ptr<const exec::CompiledProgram> program_;
+  StatusOr<std::shared_ptr<const exec::CompiledProgram>> program_;
+  // Tables the script reads in pre-state (computed once from the script).
+  std::vector<std::string> pre_state_tables_;
   // The program's per-rule counters, idivm_rule_accesses_total{view,rule},
   // one per step. Bound by the first committed epoch — a failed epoch
   // registers none, as when each was looked up at its increment — and held:

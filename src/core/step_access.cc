@@ -13,6 +13,10 @@ void CollectTransientRefs(const PlanPtr& plan, std::set<std::string>* out) {
   }
 }
 
+namespace {
+
+// Stored tables a plan may read (Scan leaves in either state; CoalesceProbe
+// children are ordinary subplans and are covered by their own Scans).
 void CollectScanTables(const PlanPtr& plan, std::set<std::string>* out) {
   if (plan == nullptr) return;
   if (plan->kind() == PlanKind::kScan) out->insert(plan->table_name());
@@ -20,6 +24,8 @@ void CollectScanTables(const PlanPtr& plan, std::set<std::string>* out) {
     CollectScanTables(child, out);
   }
 }
+
+}  // namespace
 
 void StepAccess::MergeFrom(const StepAccess& other) {
   transient_reads.insert(other.transient_reads.begin(),

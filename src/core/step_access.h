@@ -23,10 +23,6 @@ namespace idivm {
 // "__empty*" refs resolve without the context and are not reads.
 void CollectTransientRefs(const PlanPtr& plan, std::set<std::string>* out);
 
-// Stored tables a plan may read (Scan leaves in either state; CoalesceProbe
-// children are ordinary subplans and are covered by their own Scans).
-void CollectScanTables(const PlanPtr& plan, std::set<std::string>* out);
-
 // The scheduler-relevant footprint of one script step.
 struct StepAccess {
   std::set<std::string> transient_reads;

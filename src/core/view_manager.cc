@@ -118,7 +118,7 @@ Status ViewManager::TryRecomputeView(size_t index, FaultInjector* fault) {
   db_->DropTable(name);
   maintainer = std::make_unique<Maintainer>(
       db_, CompileView(name, plan, *db_, options));
-  return OkStatus();
+  return maintainer->compile_status();
 }
 
 bool ViewManager::IsQuarantined(const std::string& name) const {
@@ -209,8 +209,12 @@ std::string ViewManager::LoadRepository(const std::string& text) {
     if (HasView(loaded.view.view_name)) {
       return StrCat("view already loaded: ", loaded.view.view_name);
     }
-    views_.emplace_back(loaded.view.view_name,
-                        std::make_unique<Maintainer>(db_, loaded.view));
+    auto maintainer = std::make_unique<Maintainer>(db_, loaded.view);
+    if (!maintainer->compile_status().ok()) {
+      return StrCat("view ", loaded.view.view_name, ": ",
+                    maintainer->compile_status().ToString());
+    }
+    views_.emplace_back(loaded.view.view_name, std::move(maintainer));
     if (registry_ != nullptr) {
       registry_->Track(db_->GetTable(loaded.view.view_name));
     }

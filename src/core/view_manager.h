@@ -210,7 +210,9 @@ class ViewManager {
   // ---- ∆-script repository persistence (Fig. 3) ----
   // Serializes every registered view's compiled script. Loading re-attaches
   // the scripts to an existing database whose view/cache tables are intact
-  // (the repository stores scripts, not data); returns an error message on
+  // (the repository stores scripts, not data) and compiles each script; a
+  // script that does not compile is rejected, naming its view and the
+  // reason, and registers no maintainer. Returns an error message on
   // failure, empty on success.
   std::string SerializeRepository() const;
   std::string LoadRepository(const std::string& text);

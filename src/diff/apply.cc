@@ -21,48 +21,24 @@ Value AddValues(const Value& current, const Value& delta) {
   return expr_internal::EvalArith(ArithOp::kAdd, current, delta);
 }
 
-// Column lookup that reports a corrupt ∆-script instead of aborting: the
-// diff's schema is externally reachable (loaded scripts), so a missing
-// column is an input error, not an engine invariant.
-Status FindColumnOr(const Schema& schema, const std::string& name,
-                    const char* role, const std::string& target,
-                    size_t* out) {
-  std::optional<size_t> idx = schema.FindColumn(name);
+// A target-column lookup that reports a corrupt ∆-script instead of
+// aborting: the diff's schema is externally reachable (loaded scripts), so
+// a missing column is an input error, not an engine invariant.
+Status FindColumnOr(const Schema& target_schema, const std::string& name,
+                    const char* role, const DiffSchema& schema,
+                    std::vector<size_t>* out) {
+  std::optional<size_t> idx = target_schema.FindColumn(name);
   if (!idx.has_value()) {
-    return CorruptScriptError(StrCat("diff for ", target, ": ", role,
-                                     " column ", name, " missing"));
+    return CorruptScriptError(StrCat("diff for ", schema.target(), ": ",
+                                     role, " column ", name, " missing"));
   }
-  *out = *idx;
+  out->push_back(*idx);
   return OkStatus();
 }
 
-Status TryApplyUpdate(const DiffSchema& schema, const Relation& data,
-                      Table& target, ApplyResult* out,
+Status TryApplyUpdate(const DiffSchema& schema, const ApplyBinding& b,
+                      const Relation& data, Table& target, ApplyResult* out,
                       ReturningImages* returning, EpochUndoBatch* undo) {
-  const Schema& target_schema = target.schema();
-  const Schema& diff_rel = schema.relation_schema();
-
-  std::vector<size_t> match_cols(schema.id_columns().size());
-  for (size_t i = 0; i < schema.id_columns().size(); ++i) {
-    IDIVM_RETURN_IF_ERROR(FindColumnOr(target_schema, schema.id_columns()[i],
-                                       "ID", schema.target(),
-                                       &match_cols[i]));
-  }
-  std::vector<size_t> set_cols(schema.post_columns().size());
-  std::vector<size_t> diff_post_cols(schema.post_columns().size());
-  for (size_t i = 0; i < schema.post_columns().size(); ++i) {
-    const std::string& attr = schema.post_columns()[i];
-    IDIVM_RETURN_IF_ERROR(FindColumnOr(target_schema, attr, "SET",
-                                       schema.target(), &set_cols[i]));
-    IDIVM_RETURN_IF_ERROR(FindColumnOr(diff_rel, PostName(attr), "post",
-                                       schema.target(), &diff_post_cols[i]));
-  }
-  std::vector<size_t> diff_id_cols(schema.id_columns().size());
-  for (size_t i = 0; i < schema.id_columns().size(); ++i) {
-    IDIVM_RETURN_IF_ERROR(FindColumnOr(diff_rel, schema.id_columns()[i], "ID",
-                                       schema.target(), &diff_id_cols[i]));
-  }
-
   const bool additive = schema.additive();
   const bool capture = returning != nullptr || undo->active();
   ApplyResult result;
@@ -70,21 +46,21 @@ Status TryApplyUpdate(const DiffSchema& schema, const Relation& data,
   std::vector<Row> post;
   for (const Row& row : data.rows()) {
     ++result.diff_tuples;
-    const Row key = ProjectRow(row, diff_id_cols);
-    const Row new_values = ProjectRow(row, diff_post_cols);
+    const Row key = ProjectRow(row, b.diff_id_cols);
+    const Row new_values = ProjectRow(row, b.diff_post_cols);
     pre.clear();
     post.clear();
     const size_t touched = target.UpdateRowsWhereEquals(
-        match_cols, key,
+        b.match_cols, key,
         [&](Row& target_row) {
-          for (size_t i = 0; i < set_cols.size(); ++i) {
-            target_row[set_cols[i]] =
-                additive ? AddValues(target_row[set_cols[i]], new_values[i])
+          for (size_t i = 0; i < b.set_cols.size(); ++i) {
+            target_row[b.set_cols[i]] =
+                additive ? AddValues(target_row[b.set_cols[i]], new_values[i])
                          : new_values[i];
           }
         },
         capture ? &pre : nullptr, capture ? &post : nullptr,
-        /*mutated_columns=*/&set_cols);
+        /*mutated_columns=*/&b.set_cols);
     result.rows_touched += static_cast<int64_t>(touched);
     if (touched == 0) ++result.dummy_tuples;
     if (undo->active()) {
@@ -106,28 +82,13 @@ Status TryApplyUpdate(const DiffSchema& schema, const Relation& data,
   return OkStatus();
 }
 
-Status TryApplyInsert(const DiffSchema& schema, const Relation& data,
-                      Table& target, ApplyResult* out,
+Status TryApplyInsert(const DiffSchema& schema, const ApplyBinding& b,
+                      const Relation& data, Table& target, ApplyResult* out,
                       ReturningImages* returning, EpochUndoBatch* undo) {
-  const Schema& target_schema = target.schema();
-  const Schema& diff_rel = schema.relation_schema();
-
-  // Map each target column to its source position in the diff tuple.
-  std::vector<size_t> source_cols;
-  for (const ColumnDef& col : target_schema.columns()) {
-    std::optional<size_t> idx = diff_rel.FindColumn(col.name);  // ID column
-    if (!idx.has_value()) idx = diff_rel.FindColumn(PostName(col.name));
-    if (!idx.has_value()) {
-      return CorruptScriptError(StrCat("insert i-diff for ", schema.target(),
-                                       " lacks column ", col.name));
-    }
-    source_cols.push_back(*idx);
-  }
-
   ApplyResult result;
   for (const Row& row : data.rows()) {
     ++result.diff_tuples;
-    Row target_row = ProjectRow(row, source_cols);
+    Row target_row = ProjectRow(row, b.source_cols);
     // NOT-IN guard: multiple insert i-diffs may try to insert the same tuple.
     if (target.ContainsRow(target_row)) {
       ++result.dummy_tuples;
@@ -152,33 +113,18 @@ Status TryApplyInsert(const DiffSchema& schema, const Relation& data,
   return OkStatus();
 }
 
-Status TryApplyDelete(const DiffSchema& schema, const Relation& data,
+Status TryApplyDelete(const ApplyBinding& b, const Relation& data,
                       Table& target, ApplyResult* out,
                       ReturningImages* returning, EpochUndoBatch* undo) {
-  const Schema& target_schema = target.schema();
-  const Schema& diff_rel = schema.relation_schema();
-
-  std::vector<size_t> match_cols(schema.id_columns().size());
-  for (size_t i = 0; i < schema.id_columns().size(); ++i) {
-    IDIVM_RETURN_IF_ERROR(FindColumnOr(target_schema, schema.id_columns()[i],
-                                       "ID", schema.target(),
-                                       &match_cols[i]));
-  }
-  std::vector<size_t> diff_id_cols(schema.id_columns().size());
-  for (size_t i = 0; i < schema.id_columns().size(); ++i) {
-    IDIVM_RETURN_IF_ERROR(FindColumnOr(diff_rel, schema.id_columns()[i], "ID",
-                                       schema.target(), &diff_id_cols[i]));
-  }
-
   const bool capture = returning != nullptr || undo->active();
   ApplyResult result;
   std::vector<Row> pre;
   for (const Row& row : data.rows()) {
     ++result.diff_tuples;
-    const Row key = ProjectRow(row, diff_id_cols);
+    const Row key = ProjectRow(row, b.diff_id_cols);
     pre.clear();
     const size_t touched =
-        target.DeleteWhereEquals(match_cols, key, capture ? &pre : nullptr);
+        target.DeleteWhereEquals(b.match_cols, key, capture ? &pre : nullptr);
     result.rows_touched += static_cast<int64_t>(touched);
     if (touched == 0) ++result.dummy_tuples;
     if (undo->active()) {
@@ -200,8 +146,43 @@ Status TryApplyDelete(const DiffSchema& schema, const Relation& data,
 
 }  // namespace
 
-Status TryApplyDiff(const DiffSchema& schema, const Relation& data,
-                    Table& target, ApplyResult* out,
+StatusOr<ApplyBinding> BindApply(const DiffSchema& schema,
+                                 const Schema& target_schema) {
+  const Schema& diff_rel = schema.relation_schema();
+  ApplyBinding b;
+  if (schema.type() == DiffType::kInsert) {
+    // Each target column's source: its ID column, else its post column.
+    for (const ColumnDef& col : target_schema.columns()) {
+      std::optional<size_t> idx = diff_rel.FindColumn(col.name);
+      if (!idx.has_value()) idx = diff_rel.FindColumn(PostName(col.name));
+      if (!idx.has_value()) {
+        return CorruptScriptError(StrCat("insert i-diff for ",
+                                         schema.target(), " lacks column ",
+                                         col.name));
+      }
+      b.source_cols.push_back(*idx);
+    }
+    return b;
+  }
+  // The diff's relation lays out Ī′, then Ā′__pre, then Ā″__post.
+  const size_t post0 = schema.id_columns().size() +
+                       schema.pre_columns().size();
+  for (size_t i = 0; i < schema.id_columns().size(); ++i) {
+    IDIVM_RETURN_IF_ERROR(FindColumnOr(target_schema, schema.id_columns()[i],
+                                       "ID", schema, &b.match_cols));
+    b.diff_id_cols.push_back(i);
+  }
+  for (size_t i = 0; i < schema.post_columns().size(); ++i) {
+    IDIVM_RETURN_IF_ERROR(FindColumnOr(target_schema,
+                                       schema.post_columns()[i], "SET",
+                                       schema, &b.set_cols));
+    b.diff_post_cols.push_back(post0 + i);
+  }
+  return b;
+}
+
+Status TryApplyDiff(const DiffSchema& schema, const ApplyBinding& binding,
+                    const Relation& data, Table& target, ApplyResult* out,
                     ReturningImages* returning, EpochUndo* undo,
                     FaultInjector* fault) {
   const ApplyResult before = *out;
@@ -210,13 +191,15 @@ Status TryApplyDiff(const DiffSchema& schema, const Relation& data,
     EpochUndoBatch batch(undo, &target);
     switch (schema.type()) {
       case DiffType::kUpdate:
-        status = TryApplyUpdate(schema, data, target, out, returning, &batch);
+        status = TryApplyUpdate(schema, binding, data, target, out, returning,
+                                &batch);
         break;
       case DiffType::kInsert:
-        status = TryApplyInsert(schema, data, target, out, returning, &batch);
+        status = TryApplyInsert(schema, binding, data, target, out, returning,
+                                &batch);
         break;
       case DiffType::kDelete:
-        status = TryApplyDelete(schema, data, target, out, returning, &batch);
+        status = TryApplyDelete(binding, data, target, out, returning, &batch);
         break;
     }
     // `batch` flushes here — before the flush fault site below, so a fault
@@ -240,17 +223,14 @@ Status TryApplyDiff(const DiffSchema& schema, const Relation& data,
   return status;
 }
 
-Status TryApplyDiff(const DiffInstance& diff, Table& target, ApplyResult* out,
-                    ReturningImages* returning, EpochUndo* undo,
-                    FaultInjector* fault) {
-  return TryApplyDiff(diff.schema(), diff.data(), target, out, returning, undo,
-                      fault);
-}
-
 ApplyResult ApplyDiff(const DiffInstance& diff, Table& target,
                       ReturningImages* returning) {
+  const StatusOr<ApplyBinding> binding =
+      BindApply(diff.schema(), target.schema());
+  IDIVM_CHECK(binding.ok(), binding.status().ToString());
   ApplyResult result;
-  const Status status = TryApplyDiff(diff, target, &result, returning);
+  const Status status = TryApplyDiff(diff.schema(), binding.value(),
+                                     diff.data(), target, &result, returning);
   IDIVM_CHECK(status.ok(), status.ToString());
   return result;
 }

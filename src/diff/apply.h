@@ -18,6 +18,8 @@
 #ifndef IDIVM_DIFF_APPLY_H_
 #define IDIVM_DIFF_APPLY_H_
 
+#include <vector>
+
 #include "src/diff/diff_instance.h"
 #include "src/robust/epoch.h"
 #include "src/robust/fault_injection.h"
@@ -26,6 +28,7 @@
 
 namespace idivm {
 
+// What one APPLY did to its target.
 struct ApplyResult {
   // Diff tuples processed.
   int64_t diff_tuples = 0;
@@ -53,22 +56,39 @@ struct ReturningImages {
       : pre_images(target_schema), post_images(target_schema) {}
 };
 
+// The column offsets an APPLY of one diff schema into one target table
+// runs with, bound once (BindApply) so applying resolves no name.
+struct ApplyBinding {
+  std::vector<size_t> match_cols;      // Ī′ in the target (update, delete)
+  std::vector<size_t> diff_id_cols;    // Ī′ in the diff (update, delete)
+  std::vector<size_t> set_cols;        // Ā″ in the target (update)
+  std::vector<size_t> diff_post_cols;  // Ā″__post in the diff (update)
+  std::vector<size_t> source_cols;     // per target column, its diff
+                                       // column (insert)
+};
+
+// Binds `schema`'s columns to a target table of `target_schema`. A diff
+// whose columns don't line up with the target — a corrupt or mis-compiled
+// ∆-script — is a CorruptScriptError.
+StatusOr<ApplyBinding> BindApply(const DiffSchema& schema,
+                                 const Schema& target_schema);
+
 // Applies `diff` to `target`. Update/delete diffs locate target rows through
 // an index on the diff's Ī′ columns (created on demand). Insert diffs
 // enforce the paper's NOT-IN guard: a tuple already present in identical
 // form is skipped; a primary-key conflict with *different* attribute values
-// indicates a non-effective diff and aborts.
+// indicates a non-effective diff and aborts, as does a diff that does not
+// bind to the target.
 ApplyResult ApplyDiff(const DiffInstance& diff, Table& target,
                       ReturningImages* returning = nullptr);
 
-// Recoverable variant: a diff whose columns don't line up with the target
-// (a corrupt or mis-compiled ∆-script) yields kCorruptScript, and the
-// non-effective insert conflict yields kApplyConflict, instead of aborting
-// the process. `*out` accumulates (+=) the apply result; on error the
-// target may hold a prefix of the diff's mutations — every row touched up
-// to that point has been recorded in `undo` (when provided), so the
-// enclosing epoch can roll it back. ApplyDiff above is the CHECK-on-error
-// wrapper kept for the infallible call sites.
+// Recoverable variant over a bound diff: the ∆-script VM holds the diff's
+// schema and data in separate registers and its binding in the micro-op.
+// The non-effective insert conflict yields kApplyConflict instead of
+// aborting the process. `*out` accumulates (+=) the apply result; on error
+// the target may hold a prefix of the diff's mutations — every row touched
+// up to that point has been recorded in `undo` (when provided), so the
+// enclosing epoch can roll it back.
 //
 // Undo capture is batched: the whole call contributes one before-image
 // region per (epoch, table, APPLY step) via EpochUndo::RecordBatch —
@@ -76,16 +96,8 @@ ApplyResult ApplyDiff(const DiffInstance& diff, Table& target,
 // for errors too. When `fault` is non-null the batch boundary is itself a
 // fault site, "apply-flush:<table>", visited after the mutations and
 // exercised by the chaos site sweeps.
-Status TryApplyDiff(const DiffInstance& diff, Table& target, ApplyResult* out,
-                    ReturningImages* returning = nullptr,
-                    EpochUndo* undo = nullptr,
-                    FaultInjector* fault = nullptr);
-
-// Copy-free variant: the ∆-script VM holds the diff's schema and data in
-// separate registers; this overload applies them without materializing a
-// DiffInstance (which would copy the relation once per APPLY step).
-Status TryApplyDiff(const DiffSchema& schema, const Relation& data,
-                    Table& target, ApplyResult* out,
+Status TryApplyDiff(const DiffSchema& schema, const ApplyBinding& binding,
+                    const Relation& data, Table& target, ApplyResult* out,
                     ReturningImages* returning = nullptr,
                     EpochUndo* undo = nullptr,
                     FaultInjector* fault = nullptr);

@@ -11,7 +11,14 @@ namespace idivm {
 
 DiffInstance::DiffInstance(DiffSchema schema, Relation data)
     : schema_(std::move(schema)), data_(std::move(data)) {
-  CheckDiffData(schema_, data_);
+  const std::vector<ColumnDef>& have = data_.schema().columns();
+  const std::vector<ColumnDef>& want = schema_.relation_schema().columns();
+  bool same = have.size() == want.size();
+  for (size_t i = 0; same && i < have.size(); ++i) {
+    same = have[i].name == want[i].name;
+  }
+  IDIVM_CHECK(same, StrCat("diff data schema ", data_.schema().ToString(),
+                           " does not match ", schema_.ToString()));
 }
 
 void DiffInstance::DeduplicateByIds() {
@@ -21,17 +28,6 @@ void DiffInstance::DeduplicateByIds() {
 std::string DiffInstance::ToString() const {
   return StrCat(schema_.ToString(), " [", data_.size(), " tuples]\n",
                 data_.ToString());
-}
-
-void CheckDiffData(const DiffSchema& schema, const Relation& data) {
-  const std::vector<ColumnDef>& have = data.schema().columns();
-  const std::vector<ColumnDef>& want = schema.relation_schema().columns();
-  bool same = have.size() == want.size();
-  for (size_t i = 0; same && i < have.size(); ++i) {
-    same = have[i].name == want[i].name;
-  }
-  IDIVM_CHECK(same, StrCat("diff data schema ", data.schema().ToString(),
-                           " does not match ", schema.ToString()));
 }
 
 void DeduplicateByIds(const DiffSchema& schema, Relation* data) {

@@ -11,10 +11,13 @@
 
 namespace idivm {
 
+// A DiffSchema with its rows, laid out as the schema's relation_schema().
 class DiffInstance {
  public:
   explicit DiffInstance(DiffSchema schema)
       : schema_(std::move(schema)), data_(schema_.relation_schema()) {}
+  // `data` must be laid out as `schema`'s relation: the same column names
+  // in the same order (checked).
   DiffInstance(DiffSchema schema, Relation data);
 
   const DiffSchema& schema() const { return schema_; }
@@ -36,12 +39,6 @@ class DiffInstance {
   DiffSchema schema_;
   Relation data_;
 };
-
-// Checks that `data` is laid out as `schema`'s materialized relation: the
-// same column names in the same order. DiffInstance's constructor runs this
-// check; the ∆-script VM runs it on compute outputs it keeps as bare
-// relations.
-void CheckDiffData(const DiffSchema& schema, const Relation& data);
 
 // Keeps only the first tuple per Ī′ key of `data` (laid out as `schema`'s
 // materialized relation, so Ī′ is its leading columns), preserving order.

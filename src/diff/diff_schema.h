@@ -37,6 +37,8 @@ std::string PostName(const std::string& attr);
 // Strips a recognized suffix; returns the input unchanged otherwise.
 std::string StripStateSuffix(const std::string& name);
 
+// The schema ∆ᵗ_V(Ī′, Ā′_pre, Ā″_post) of one i-diff, and the
+// materialized relation schema its instances carry.
 class DiffSchema {
  public:
   DiffSchema() = default;

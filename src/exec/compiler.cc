@@ -9,6 +9,7 @@
 
 #include "src/algebra/physical_plan.h"
 #include "src/common/str_util.h"
+#include "src/diff/apply.h"
 #include "src/core/step_access.h"
 #include "src/obs/metrics.h"
 
@@ -16,16 +17,23 @@ namespace idivm {
 namespace exec {
 namespace {
 
+// `status` with the step it came from.
+Status InStep(const std::string& what, const Status& status) {
+  return CorruptScriptError(StrCat(what, ": ", status.message()));
+}
+
 class ScriptCompiler {
  public:
   ScriptCompiler(CompiledProgram* p, const Database& db) : p_(p), db_(db) {}
 
-  void Run(const std::vector<InputDiffBinding>& input_bindings) {
+  Status Run(const std::vector<InputDiffBinding>& input_bindings) {
     // Input bindings are instantiated every epoch (possibly empty), so
-    // their names are statically bound from the start.
+    // their names are bound from the start.
     for (const InputDiffBinding& binding : input_bindings) {
-      Slot(binding.name, binding.schema.relation_schema());
-      BindStatic(binding.name, binding.schema.relation_schema());
+      IDIVM_RETURN_IF_ERROR(CheckInputBinding(binding));
+      int slot = -1;
+      IDIVM_RETURN_IF_ERROR(
+          Produce(binding.name, binding.schema.relation_schema(), &slot));
     }
     const DeltaScript& script = p_->script;
     const size_t n = script.steps.size();
@@ -62,7 +70,7 @@ class ScriptCompiler {
     std::vector<MicroOp> mops(n);
     for (size_t i = 0; i < n; ++i) {
       access[i] = AnalyzeStep(script.steps[i]);
-      mops[i] = LowerStep(i, script.steps[i]);
+      IDIVM_RETURN_IF_ERROR(LowerStep(i, script.steps[i], &mops[i]));
     }
 
     // Instruction grouping: fuse compute(i) into apply(i+1) when the apply
@@ -78,7 +86,7 @@ class ScriptCompiler {
       if (step.compute.has_value() && i + 1 < n &&
           script.steps[i + 1].apply.has_value() &&
           script.steps[i + 1].apply->diff_name == step.compute->out_name &&
-          !step.compute->raw_relation && mops[i].out_diff != nullptr) {
+          !step.compute->raw_relation) {
         mops[i].fuse_to_next = true;
         mops[i].publish_output = readers[step.compute->out_name] > 1;
         mops[i + 1].piped_input = true;
@@ -105,11 +113,11 @@ class ScriptCompiler {
     }
     p_->fused_steps = static_cast<int64_t>(n) -
                       static_cast<int64_t>(p_->instructions.size());
+    return OkStatus();
   }
 
  private:
-  // Creates (or finds) the slot register for `name`. The first creation
-  // fixes the slot schema; a name is only ever produced with one schema.
+  // Creates (or finds) the slot register for `name`.
   int Slot(const std::string& name, const Schema& schema) {
     const auto it = p_->slot_index.find(name);
     if (it != p_->slot_index.end()) return it->second;
@@ -119,23 +127,44 @@ class ScriptCompiler {
     return id;
   }
 
-  void BindStatic(const std::string& name, const Schema& schema) {
+  // Binds `name` to the relation a step produces, with `schema`, from this
+  // step on. Readers bind column offsets to a register, so a name is only
+  // ever produced with one column list.
+  Status Produce(const std::string& name, const Schema& schema, int* slot) {
+    const auto it = p_->slot_index.find(name);
+    if (it != p_->slot_index.end() &&
+        p_->slots[it->second].schema.ColumnNames() != schema.ColumnNames()) {
+      return CorruptScriptError(
+          StrCat("transient ", name, " produced as both ",
+                 p_->slots[it->second].schema.ToString(), " and ",
+                 schema.ToString()));
+    }
+    *slot = Slot(name, schema);
     bound_[name] = schema;
+    return OkStatus();
   }
 
-  bool ScanTablesExist(const PlanPtr& plan) {
-    std::set<std::string> tables;
-    CollectScanTables(plan, &tables);
-    for (const std::string& t : tables) {
-      if (!db_.HasTable(t)) return false;
+  // Epoch setup fills an input diff from its base table's changed rows, so
+  // the table must have every column the diff names.
+  Status CheckInputBinding(const InputDiffBinding& binding) {
+    const DiffSchema& ds = binding.schema;
+    for (const auto* cols :
+         {&ds.id_columns(), &ds.pre_columns(), &ds.post_columns()}) {
+      for (const std::string& col : *cols) {
+        if (!db_.HasTable(binding.table) ||
+            !db_.GetTable(binding.table).schema().HasColumn(col)) {
+          return CorruptScriptError(StrCat("input diff ", binding.name,
+                                           ": no column ", col, " in table ",
+                                           binding.table));
+        }
+      }
     }
-    return true;
+    return OkStatus();
   }
 
   // Binds a compute plan's transient ref to its slot register when the
-  // name is statically bound with the ref's columns; otherwise the ref
-  // lowers to a fallback, so Evaluate's unbound-ref check fires at run
-  // time, if and when the ref is evaluated.
+  // name is bound with the ref's columns; otherwise -1, which fails the
+  // lowering.
   int BindRef(const PlanNode& ref, Schema* schema) {
     const auto it = bound_.find(ref.ref_name());
     if (it == bound_.end() ||
@@ -146,110 +175,103 @@ class ScriptCompiler {
     return Slot(ref.ref_name(), it->second);
   }
 
-  MicroOp LowerStep(size_t i, const ScriptStep& step) {
-    MicroOp op;
-    op.step = i;
+  Status LowerStep(size_t i, const ScriptStep& step, MicroOp* op) {
+    op->step = i;
     if (step.compute.has_value()) {
       const ComputeDiffStep& cs = *step.compute;
-      op.kind = MicroOp::Kind::kCompute;
-      op.name = cs.out_name;
-      op.raw = cs.raw_relation;
-      // A scan of a table the database does not have would make schema
-      // inference impossible; such a scan faults only if and when it runs,
-      // so defer the whole query to Evaluate.
-      if (ScanTablesExist(cs.query)) {
-        const RefBinder bind = [this](const PlanNode& ref, Schema* schema) {
-          return BindRef(ref, schema);
-        };
-        op.plan = LowerPlan(cs.query, db_, bind);
-      } else {
-        op.plan = FallbackPlan(cs.query);
+      const std::string what = StrCat("compute of ", cs.out_name);
+      op->kind = MicroOp::Kind::kCompute;
+      StatusOr<PhysicalPlan> plan =
+          LowerPlan(cs.query, db_, [this](const PlanNode& ref, Schema* s) {
+            return BindRef(ref, s);
+          });
+      if (!plan.ok()) return InStep(what, plan.status());
+      op->plan = std::move(plan).value();
+      if (cs.raw_relation) {
+        return Produce(cs.out_name, InferSchema(cs.query, db_),
+                       &op->out_slot);
       }
-      if (!cs.raw_relation) {
-        const DiffSchema* ds = p_->script.FindDiffSchema(cs.out_name);
-        if (ds == nullptr) {
-          op.unregistered_out = true;  // the error fires after evaluation
-        } else {
-          op.out_diff = ds;
-          op.out_slot = Slot(cs.out_name, ds->relation_schema());
-          BindStatic(cs.out_name, ds->relation_schema());
-        }
-      } else if (ScanTablesExist(cs.query)) {
-        const Schema s = InferSchema(cs.query, db_);
-        op.out_slot = Slot(cs.out_name, s);
-        BindStatic(cs.out_name, s);
-      } else {
-        // Schema unknown; the epoch faults before the publish anyway.
-        op.out_slot = Slot(cs.out_name, Schema());
+      op->out_diff = p_->script.FindDiffSchema(cs.out_name);
+      if (op->out_diff == nullptr) {
+        return CorruptScriptError(
+            StrCat("compute of unregistered diff ", cs.out_name));
       }
-    } else if (step.apply.has_value()) {
-      const ApplyStep& as = *step.apply;
-      op.kind = MicroOp::Kind::kApply;
-      op.name = as.diff_name;
-      const DiffSchema* ds = p_->script.FindDiffSchema(as.diff_name);
-      if (ds == nullptr) {
-        op.apply_unregistered = true;
-      } else {
-        op.diff_schema = ds;
-        // Every input binding is instantiated every epoch (possibly empty)
-        // and compute outputs precede their applies, so boundness at this
-        // step is static.
-        if (bound_.count(as.diff_name) > 0) {
-          op.in_slot = Slot(as.diff_name, ds->relation_schema());
-        } else {
-          op.apply_unbound = true;
-        }
+      const Schema& out = op->plan.ops[op->plan.root].out_schema;
+      const Schema& want = op->out_diff->relation_schema();
+      if (out.ColumnNames() != want.ColumnNames()) {
+        return CorruptScriptError(StrCat(what, ": output columns ",
+                                         out.ToString(), " do not match ",
+                                         op->out_diff->ToString()));
       }
-      for (const std::string& extra : as.extra_diff_names) {
-        ExtraApply ex;
-        ex.name = extra;
-        const DiffSchema* eds = p_->script.FindDiffSchema(extra);
-        if (eds == nullptr) {
-          ex.unregistered = true;
-        } else {
-          ex.schema = eds;
-          if (bound_.count(extra) > 0) {
-            ex.in_slot = Slot(extra, eds->relation_schema());
-          } else {
-            ex.unbound = true;
-          }
-        }
-        op.extras.push_back(std::move(ex));
-      }
-      op.target = as.target_table;
-      op.capture = !as.returning_pre.empty() || !as.returning_post.empty();
-      if (op.capture) {
-        const Schema ts = db_.HasTable(as.target_table)
-                              ? db_.GetTable(as.target_table).schema()
-                              : Schema();
-        op.pre_slot = Slot(as.returning_pre, ts);
-        op.post_slot = Slot(as.returning_post, ts);
-        if (db_.HasTable(as.target_table)) {
-          BindStatic(as.returning_pre, ts);
-          BindStatic(as.returning_post, ts);
-        }
-      }
-    } else if (step.aggregate.has_value()) {
-      const AggregateStep& ag = *step.aggregate;
-      op.kind = MicroOp::Kind::kAggregate;
-      op.name = ag.node_name;
-      op.agg = &ag;
-      op.agg_status = BindAggregate(i, ag, &op.bindings);
+      return Produce(cs.out_name, want, &op->out_slot);
     }
-    return op;
+    if (step.apply.has_value()) {
+      const ApplyStep& as = *step.apply;
+      op->kind = MicroOp::Kind::kApply;
+      op->target = as.target_table;
+      if (!db_.HasTable(as.target_table)) {
+        return CorruptScriptError(
+            StrCat("apply to missing table ", as.target_table));
+      }
+      const Schema& ts = db_.GetTable(as.target_table).schema();
+      std::vector<std::string> names = {as.diff_name};
+      names.insert(names.end(), as.extra_diff_names.begin(),
+                   as.extra_diff_names.end());
+      // Every input binding is instantiated every epoch (possibly empty)
+      // and compute outputs precede their applies, so boundness at this
+      // step is static.
+      for (const std::string& name : names) {
+        ApplyDiffOp diff;
+        diff.schema = p_->script.FindDiffSchema(name);
+        if (diff.schema == nullptr) {
+          return CorruptScriptError(
+              StrCat("apply of unregistered diff ", name));
+        }
+        const auto it = bound_.find(name);
+        if (it == bound_.end()) {
+          return CorruptScriptError(StrCat("apply of unbound diff ", name));
+        }
+        if (it->second.ColumnNames() !=
+            diff.schema->relation_schema().ColumnNames()) {
+          return CorruptScriptError(StrCat("apply of ", name, ": bound as ",
+                                           it->second.ToString(), ", not ",
+                                           diff.schema->ToString()));
+        }
+        diff.in_slot = Slot(name, it->second);
+        StatusOr<ApplyBinding> binding = BindApply(*diff.schema, ts);
+        if (!binding.ok()) return binding.status();
+        diff.binding = std::move(binding).value();
+        op->diffs.push_back(std::move(diff));
+      }
+      op->capture = !as.returning_pre.empty() || !as.returning_post.empty();
+      if (op->capture) {
+        IDIVM_RETURN_IF_ERROR(Produce(as.returning_pre, ts, &op->pre_slot));
+        IDIVM_RETURN_IF_ERROR(Produce(as.returning_post, ts, &op->post_slot));
+      }
+      return OkStatus();
+    }
+    const AggregateStep& ag = *step.aggregate;
+    op->kind = MicroOp::Kind::kAggregate;
+    op->agg = &ag;
+    return BindAggregate(i, ag, &op->bindings);
   }
 
   // Binds γ step `i` (BindAggregateStep), then assigns its registers and
-  // lowers its recompute probe. A γ input no earlier step publishes is a
-  // CorruptScriptError too. The outputs are statically bound only when the
-  // step binds: otherwise the epoch fails at this step, before any reader.
+  // lowers its recompute probe. A γ input no earlier step publishes, or
+  // one laid out other than the step's input schema its offsets were bound
+  // to, is a CorruptScriptError too.
   Status BindAggregate(size_t i, const AggregateStep& ag,
                        AggregateBindings* b) {
     IDIVM_RETURN_IF_ERROR(BindAggregateStep(ag, p_->script, db_, b));
-    const auto input_slot = [this](const std::string& name, int* slot) {
+    const auto input_slot = [&](const std::string& name, int* slot) {
       const auto it = bound_.find(name);
       if (it == bound_.end()) {
         return CorruptScriptError(StrCat("γ input rows missing: ", name));
+      }
+      if (it->second.ColumnNames() != ag.input_schema.ColumnNames()) {
+        return CorruptScriptError(StrCat("γ input rows ", name, " are ",
+                                         it->second.ToString(), ", not ",
+                                         ag.input_schema.ToString()));
       }
       *slot = Slot(name, it->second);
       return OkStatus();
@@ -269,37 +291,33 @@ class ScriptCompiler {
     const std::string keys_name = StrCat("__gkeys_", i);
     b->keys = Slot(keys_name, b->key_schema);
     const PlanPtr probe = RecomputeProbePlan(ag, keys_name, b->key_schema);
-    if (ScanTablesExist(probe)) {
-      const RefBinder bind = [&](const PlanNode& ref, Schema* schema) {
-        if (ref.ref_name() != keys_name) return BindRef(ref, schema);
-        *schema = b->key_schema;
-        return b->keys;
-      };
-      b->probe = LowerPlan(probe, db_, bind);
-    } else {
-      b->probe = FallbackPlan(probe);  // faults if and when it runs
+    StatusOr<PhysicalPlan> plan =
+        LowerPlan(probe, db_, [&](const PlanNode& ref, Schema* schema) {
+          if (ref.ref_name() != keys_name) return BindRef(ref, schema);
+          *schema = b->key_schema;
+          return b->keys;
+        });
+    if (!plan.ok()) {
+      return InStep(StrCat("γ-maintain ", ag.node_name), plan.status());
     }
-    const auto output_slot = [this](const std::string& name,
-                                    const DiffSchema& ds) {
-      BindStatic(name, ds.relation_schema());
-      return Slot(name, ds.relation_schema());
-    };
-    b->out_update = output_slot(ag.out_update, *b->update);
-    b->out_insert = output_slot(ag.out_insert, *b->insert);
-    b->out_delete = output_slot(ag.out_delete, *b->del);
-    return OkStatus();
+    b->probe = std::move(plan).value();
+    IDIVM_RETURN_IF_ERROR(
+        Produce(ag.out_update, b->update->relation_schema(), &b->out_update));
+    IDIVM_RETURN_IF_ERROR(
+        Produce(ag.out_insert, b->insert->relation_schema(), &b->out_insert));
+    return Produce(ag.out_delete, b->del->relation_schema(), &b->out_delete);
   }
 
   CompiledProgram* p_;
   const Database& db_;
-  // Statically-bound transient names at the current step, with the schema
-  // the runtime relation will carry.
+  // Transient names bound at the current step, with the schema the
+  // runtime relation will carry.
   std::map<std::string, Schema> bound_;
 };
 
 }  // namespace
 
-std::shared_ptr<const CompiledProgram> CompileProgram(
+StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
     const CompiledView& view, const Database& db) {
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -310,14 +328,18 @@ std::shared_ptr<const CompiledProgram> CompileProgram(
   program->script = view.script;
 
   ScriptCompiler compiler(program.get(), db);
-  compiler.Run(view.input_bindings);
+  IDIVM_RETURN_IF_ERROR(compiler.Run(view.input_bindings));
 
   const auto t1 = std::chrono::steady_clock::now();
-  obs::GlobalHistogram("idivm_compile_seconds")
-      .Observe(std::chrono::duration<double>(t1 - t0).count());
-  obs::GlobalCounter("idivm_fused_steps_total")
-      .Increment(program->fused_steps);
-  return program;
+  static obs::Histogram& seconds =
+      obs::GlobalHistogram("idivm_compile_seconds");
+  static obs::Counter& misses =
+      obs::GlobalCounter("idivm_program_cache_misses_total");
+  static obs::Counter& fused = obs::GlobalCounter("idivm_fused_steps_total");
+  seconds.Observe(std::chrono::duration<double>(t1 - t0).count());
+  misses.Increment();
+  fused.Increment(program->fused_steps);
+  return std::shared_ptr<const CompiledProgram>(std::move(program));
 }
 
 }  // namespace exec

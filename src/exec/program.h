@@ -5,8 +5,9 @@
 // slot registers (one per transient relation name). Everything that depends
 // only on the script and the stored schemas — each compute step's physical
 // plan (physical_plan.h), diff-schema lookups, each γ step's bindings and
-// recompute probe, step labels and footprints — is resolved once, when the
-// maintainer compiles its view on its first epoch.
+// recompute probe, each APPLY's column offsets, step labels and
+// footprints — is resolved once, when the maintainer is built. A script
+// that does not compile completely has no program.
 
 #ifndef IDIVM_EXEC_PROGRAM_H_
 #define IDIVM_EXEC_PROGRAM_H_
@@ -19,18 +20,17 @@
 #include "src/core/aggregate_exec.h"
 #include "src/core/delta_script.h"
 #include "src/core/step_access.h"
+#include "src/diff/apply.h"
 
 namespace idivm {
 namespace exec {
 
-// One compose-time-merged diff riding on a kApply micro-op: applied after
-// the op's main diff, in order, into the same RETURNING capture.
-struct ExtraApply {
-  std::string name;
-  bool unregistered = false;
-  bool unbound = false;
+// One diff a kApply micro-op writes: the op's main diff first, then each
+// compose-time-merged extra, in order, into the same RETURNING capture.
+struct ApplyDiffOp {
   const DiffSchema* schema = nullptr;
   int in_slot = -1;
+  ApplyBinding binding;  // its columns in the target table
 };
 
 // One unit of per-step work inside an instruction. Every micro-op keeps the
@@ -40,31 +40,23 @@ struct ExtraApply {
 struct MicroOp {
   enum class Kind { kCompute, kApply, kAggregate };
   Kind kind = Kind::kCompute;
-  size_t step = 0;     // original script-step index
-  std::string name;    // compute out_name / apply diff_name (error messages)
+  size_t step = 0;  // original script-step index
   // kCompute
   PhysicalPlan plan;
   int out_slot = -1;
-  bool raw = false;
-  bool unregistered_out = false;  // diff not in registry: error after eval
-  const DiffSchema* out_diff = nullptr;
+  const DiffSchema* out_diff = nullptr;  // null for a raw relation
   bool fuse_to_next = false;   // pipe the output to the next micro-op
   bool publish_output = true;  // false when fused and nothing else reads it
   // kApply
-  bool piped_input = false;  // consume the piped diff, not a slot
-  int in_slot = -1;
-  std::string target;  // the APPLY's stored table
-  bool apply_unregistered = false;
-  bool apply_unbound = false;
-  const DiffSchema* diff_schema = nullptr;
+  bool piped_input = false;  // the main diff's rows are the piped ones
+  std::string target;        // the APPLY's stored table
+  std::vector<ApplyDiffOp> diffs;
   bool capture = false;
   int pre_slot = -1;
   int post_slot = -1;
-  std::vector<ExtraApply> extras;
   // kAggregate
   const AggregateStep* agg = nullptr;
-  Status agg_status;           // a binding error, returned when the step runs
-  AggregateBindings bindings;  // valid when agg_status is OK
+  AggregateBindings bindings;
 };
 
 // One schedulable unit: a maximal fused run of micro-ops. Its footprint is

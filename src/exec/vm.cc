@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "src/algebra/physical_plan.h"
@@ -19,55 +18,29 @@ namespace idivm {
 namespace exec {
 namespace {
 
-// Shared mutable state of one program execution.
+// Shared mutable state of one program execution. Registers need no lock:
+// the DAG orders every instruction after the producers of what it reads,
+// and no two instructions that write one register run concurrently.
 struct ExecState {
   const ExecEnv* env = nullptr;
   const CompiledProgram* p = nullptr;
   EvalContext ctx;             // stored tables, pre-state, assist-unsafe
   std::vector<Relation> regs;  // slot registers
-  std::vector<char> written;   // slot has been published this epoch
-  std::mutex mutex;            // publication / snapshot lock (parallel)
-  bool parallel = false;
   // &regs[i] per slot: the registers compiled plans read.
   std::vector<const Relation*> reg_ptrs;
-
-  void Publish(int slot, Relation rel) {
-    if (parallel) {
-      std::lock_guard<std::mutex> lock(mutex);
-      regs[slot] = std::move(rel);
-      written[slot] = 1;
-    } else {
-      regs[slot] = std::move(rel);
-      written[slot] = 1;
-    }
-  }
-
-  // The context Evaluate runs in for fallback plans: every register
-  // published so far, bound by name.
-  EvalContext BoundContext() {
-    EvalContext bound = ctx;
-    std::unique_lock<std::mutex> lock(mutex, std::defer_lock);
-    if (parallel) lock.lock();
-    for (size_t i = 0; i < regs.size(); ++i) {
-      if (written[i] != 0) bound.transient[p->slots[i].name] = &regs[i];
-    }
-    return bound;
-  }
 };
 
 // ---- Micro-op / instruction execution --------------------------------------
 
-// What a fused compute hands to its APPLY: the diff's schema and its rows —
-// the published register when others read it too, else the relation
-// itself, moved here.
+// What a fused compute hands to its APPLY: the diff's rows — the published
+// register when others read it too, else the relation itself, moved here.
 struct Piped {
-  const DiffSchema* schema = nullptr;
   const Relation* data = nullptr;
   Relation owned;
 };
 
 Status RunMicroOp(ExecState& st, const MicroOp& op, Piped* piped,
-                  StepRun& run, const EvalContext& ctx) {
+                  StepRun& run) {
   const ExecEnv& env = *st.env;
   const std::string& label = st.p->steps[op.step].label;
   if (env.fault != nullptr) {
@@ -78,64 +51,32 @@ Status RunMicroOp(ExecState& st, const MicroOp& op, Piped* piped,
   }
   switch (op.kind) {
     case MicroOp::Kind::kCompute: {
-      Relation rel = RunPlan(op.plan, ctx, st.reg_ptrs.data());
-      if (!op.raw) {
-        if (op.unregistered_out) {
-          return CorruptScriptError(
-              StrCat("compute of unregistered diff ", op.name));
-        }
-        CheckDiffData(*op.out_diff, rel);
-        DeduplicateByIds(*op.out_diff, &rel);
-      }
+      Relation rel = RunPlan(op.plan, st.ctx, st.reg_ptrs.data());
+      if (op.out_diff != nullptr) DeduplicateByIds(*op.out_diff, &rel);
       if (op.fuse_to_next && !op.publish_output) {
-        piped->schema = op.out_diff;
         piped->owned = std::move(rel);
         piped->data = &piped->owned;
         break;
       }
-      st.Publish(op.out_slot, std::move(rel));
+      st.regs[op.out_slot] = std::move(rel);
       if (op.fuse_to_next) {
         // The register is written once per epoch, so the APPLY can read it
         // in place.
-        piped->schema = op.out_diff;
         piped->data = &st.regs[op.out_slot];
       }
       break;
     }
     case MicroOp::Kind::kApply: {
-      // Resolve the main diff and every compose-time-merged extra before
-      // any mutation, so an unregistered/unbound diff fails untouched.
-      if (op.apply_unregistered) {
-        return CorruptScriptError(
-            StrCat("apply of unregistered diff ", op.name));
-      }
-      const DiffSchema* schema = nullptr;
-      const Relation* data = nullptr;
-      if (op.piped_input) {
-        schema = piped->schema;
-        data = piped->data;
-      } else {
-        if (op.apply_unbound) {
-          return CorruptScriptError(StrCat("apply of unbound diff ", op.name));
-        }
-        schema = op.diff_schema;
-        data = &st.regs[op.in_slot];
-      }
-      for (const ExtraApply& ex : op.extras) {
-        if (ex.unregistered) {
-          return CorruptScriptError(
-              StrCat("apply of unregistered diff ", ex.name));
-        }
-        if (ex.unbound) {
-          return CorruptScriptError(StrCat("apply of unbound diff ", ex.name));
-        }
-      }
+      // The main diff reads the piped rows when its compute was fused.
+      const auto rows = [&](size_t i) -> const Relation& {
+        return i == 0 && op.piped_input ? *piped->data
+                                        : st.regs[op.diffs[i].in_slot];
+      };
       Table& target = env.db->GetTable(op.target);
       if (env.apply_observer != nullptr && *env.apply_observer) {
-        (*env.apply_observer)(op.target, DiffInstance(*schema, *data));
-        for (const ExtraApply& ex : op.extras) {
+        for (size_t i = 0; i < op.diffs.size(); ++i) {
           (*env.apply_observer)(op.target,
-                                DiffInstance(*ex.schema, st.regs[ex.in_slot]));
+                                DiffInstance(*op.diffs[i].schema, rows(i)));
         }
       }
       if (env.fault != nullptr) {
@@ -151,13 +92,11 @@ Status RunMicroOp(ExecState& st, const MicroOp& op, Piped* piped,
         apply_before = run.arena.Sum(&env.db->stats());
         run.apply_start_us = env.trace->NowMicros();
       }
-      IDIVM_RETURN_IF_ERROR(TryApplyDiff(*schema, *data, target, &run.applied,
-                                         op.capture ? &images : nullptr,
-                                         env.undo, env.fault));
-      for (const ExtraApply& ex : op.extras) {
+      for (size_t i = 0; i < op.diffs.size(); ++i) {
         IDIVM_RETURN_IF_ERROR(TryApplyDiff(
-            *ex.schema, st.regs[ex.in_slot], target, &run.applied,
-            op.capture ? &images : nullptr, env.undo, env.fault));
+            *op.diffs[i].schema, op.diffs[i].binding, rows(i), target,
+            &run.applied, op.capture ? &images : nullptr, env.undo,
+            env.fault));
       }
       if (env.trace != nullptr) {
         run.apply_end_us = env.trace->NowMicros();
@@ -165,13 +104,12 @@ Status RunMicroOp(ExecState& st, const MicroOp& op, Piped* piped,
         run.has_apply = true;
       }
       if (op.capture) {
-        st.Publish(op.pre_slot, std::move(images.pre_images));
-        st.Publish(op.post_slot, std::move(images.post_images));
+        st.regs[op.pre_slot] = std::move(images.pre_images);
+        st.regs[op.post_slot] = std::move(images.post_images);
       }
       break;
     }
     case MicroOp::Kind::kAggregate: {
-      IDIVM_RETURN_IF_ERROR(op.agg_status);
       // Hits fold only plain columns; misses evaluate an expression.
       static obs::Counter& hits =
           obs::GlobalCounter("idivm_agg_kernel_hits_total");
@@ -179,14 +117,8 @@ Status RunMicroOp(ExecState& st, const MicroOp& op, Piped* piped,
           obs::GlobalCounter("idivm_agg_kernel_misses_total");
       (op.bindings.has_expr_arg ? misses : hits).Increment(1);
       AggregateExecutor exec(env.db, env.undo, *op.agg, op.bindings,
-                             st.regs.data(), st.reg_ptrs.data(), ctx);
+                             st.regs.data(), st.reg_ptrs.data(), st.ctx);
       IDIVM_RETURN_IF_ERROR(exec.Run());
-      // γ instructions run exclusively (their footprint conflicts with
-      // everything), so the outputs need no lock.
-      for (const int slot : {op.bindings.out_update, op.bindings.out_insert,
-                             op.bindings.out_delete}) {
-        st.written[slot] = 1;
-      }
       break;
     }
   }
@@ -204,13 +136,6 @@ Status RunInstruction(ExecState& st, const Instruction& inst) {
   const ExecEnv& env = *st.env;
   Piped piped;
   for (const MicroOp& op : inst.ops) {
-    // Fallback plans (in a compute's query or a γ's recompute probe)
-    // evaluate against the registers published before the micro-op starts.
-    std::optional<EvalContext> bound;
-    if (op.plan.has_fallback || op.bindings.probe.has_fallback) {
-      bound = st.BoundContext();
-    }
-    const EvalContext& ctx = bound.has_value() ? *bound : st.ctx;
     StepRun& run = (*env.runs)[op.step];
     ScopedStatsArena scope(&run.arena);
     if (env.trace != nullptr) {
@@ -218,7 +143,7 @@ Status RunInstruction(ExecState& st, const Instruction& inst) {
       run.tid = obs::TraceRecorder::CurrentThreadId();
     }
     const auto t0 = std::chrono::steady_clock::now();
-    const Status status = RunMicroOp(st, op, &piped, run, ctx);
+    const Status status = RunMicroOp(st, op, &piped, run);
     const auto t1 = std::chrono::steady_clock::now();
     run.seconds = std::chrono::duration<double>(t1 - t0).count();
     if (env.trace != nullptr) run.end_us = env.trace->NowMicros();
@@ -244,12 +169,10 @@ Status Execute(const ExecEnv& env) {
     st.regs.emplace_back(slot.schema);
     st.reg_ptrs.push_back(&st.regs.back());
   }
-  st.written.assign(p.slots.size(), 0);
   for (auto& [name, inst] : *env.instances) {
     const auto it = p.slot_index.find(name);
     if (it == p.slot_index.end()) continue;
     st.regs[it->second] = std::move(inst.mutable_data());
-    st.written[it->second] = 1;
   }
 
   const size_t m = p.instructions.size();
@@ -263,7 +186,6 @@ Status Execute(const ExecEnv& env) {
   // DAG scheduling over instructions, with the union footprint of each
   // instruction's steps: every edge the unfused schedule had is kept, so
   // producers always complete before consumers start.
-  st.parallel = true;
   std::vector<std::vector<size_t>> succs(m);
   std::vector<size_t> pending(m, 0);
   for (size_t j = 0; j < m; ++j) {

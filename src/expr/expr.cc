@@ -383,6 +383,34 @@ bool PredicateHolds(const ExprPtr& predicate, const Row& row,
   return !v.is_null() && v.is_numeric() && v.NumericAsDouble() != 0;
 }
 
+Status CheckExpr(const ExprPtr& expr, const Schema& schema) {
+  if (expr == nullptr) return CorruptScriptError("missing expression");
+  if (expr->kind() == ExprKind::kColumn &&
+      !schema.HasColumn(expr->column_name())) {
+    return CorruptScriptError(StrCat("unknown column '", expr->column_name(),
+                                     "' over ", schema.ToString()));
+  }
+  if (expr->kind() == ExprKind::kFunction) {
+    // EvalFunction's functions: coalesce needs an argument (its type is
+    // the first one's), concat takes any number.
+    const std::string& name = expr->function_name();
+    const size_t n = expr->children().size();
+    const bool known =
+        name == "abs" || name == "round" || name == "isnull" ? n == 1
+        : name == "if"                                       ? n == 3
+        : name == "coalesce"                                 ? n >= 1
+                                                             : name == "concat";
+    if (!known) {
+      return CorruptScriptError(StrCat("unknown function or wrong argument ",
+                                       "count: ", expr->ToString()));
+    }
+  }
+  for (const ExprPtr& child : expr->children()) {
+    IDIVM_RETURN_IF_ERROR(CheckExpr(child, schema));
+  }
+  return OkStatus();
+}
+
 BoundExpr::BoundExpr(ExprPtr expr, const Schema& schema) {
   IDIVM_CHECK(expr != nullptr, "binding null expression");
   nodes_.reserve(8);

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/robust/status.h"
 #include "src/types/relation.h"
 #include "src/types/schema.h"
 #include "src/types/value.h"
@@ -37,6 +38,8 @@ enum class LogicOp { kAnd, kOr, kNot };
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
+// One immutable node of a scalar expression tree; built only through the
+// factories below.
 class Expr {
  public:
   ExprKind kind() const { return kind_; }
@@ -101,9 +104,17 @@ ExprPtr Not(ExprPtr a);
 bool PredicateHolds(const ExprPtr& predicate, const Row& row,
                     const Schema& schema);
 
+// Checks that `expr` can be bound to `schema`: every column it references
+// exists and every function it calls is known and given the right number
+// of arguments. A failure is a CorruptScriptError — past view definition
+// only a damaged ∆-script carries such an expression.
+Status CheckExpr(const ExprPtr& expr, const Schema& schema);
+
 // An expression with column references resolved to indices, for hot loops.
 class BoundExpr {
  public:
+  // `expr` must pass CheckExpr against `schema`: lowering and the γ binder
+  // check it first, so binding itself only looks columns up.
   BoundExpr(ExprPtr expr, const Schema& schema);
 
   Value Eval(const Row& row) const { return EvalNode(0, row); }

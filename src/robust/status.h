@@ -36,6 +36,7 @@ enum class StatusCode {
   kResourceExhausted,
   // A ∆-script referenced an unregistered diff, an unbound transient, or a
   // column its target table does not have — the script text is damaged.
+  // Raised when the script is compiled, before any epoch runs it.
   kCorruptScript,
   // An APPLY found target state inconsistent with the diff (non-effective
   // insert, negative group delta): base tables and views have diverged.

@@ -3,6 +3,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/compose.h"
@@ -134,28 +135,40 @@ TEST_F(MaintainerTest, ScriptPhasesLabelled) {
   EXPECT_TRUE(has_view_phase);
 }
 
-// The first epoch compiles the script, fusing each compute step into the
-// APPLY that consumes its diff; the SPJ chain has such pairs, and the
-// idivm_fused_steps_total counter says so.
-TEST_F(MaintainerTest, FirstEpochCompilesAndFusesSteps) {
+// Building a maintainer compiles its program — one cache miss — fusing
+// each compute step into the APPLY that consumes its diff; the SPJ chain
+// has such pairs, and the idivm_fused_steps_total counter says so. Each
+// epoch only runs the program: one cache hit, no recompilation.
+TEST_F(MaintainerTest, ConstructionCompilesAndFusesSteps) {
+  const auto counter = [](const char* name) {
+    return obs::MetricsRegistry::Global().CounterValue(name);
+  };
+  const int64_t fused0 = counter("idivm_fused_steps_total");
+  const int64_t misses0 = counter("idivm_program_cache_misses_total");
+  const int64_t hits0 = counter("idivm_program_cache_hits_total");
   Maintainer m(&db_, CompileView("v", testing::RunningExampleSpjPlan(db_),
                                  db_));
+  ASSERT_TRUE(m.compile_status().ok()) << m.compile_status().ToString();
+  const int64_t fused1 = counter("idivm_fused_steps_total");
+  EXPECT_GT(fused1, fused0);
+  EXPECT_EQ(counter("idivm_program_cache_misses_total"), misses0 + 1);
+  EXPECT_EQ(counter("idivm_program_cache_hits_total"), hits0);
   ModificationLogger logger(&db_);
   ASSERT_TRUE(logger.Update("parts", {Value("P1")}, {"price"},
                             {Value(11.0)}));
-  const int64_t fused0 = obs::MetricsRegistry::Global().CounterValue(
-      "idivm_fused_steps_total");
   m.Maintain(logger.NetChanges());
-  EXPECT_GT(obs::MetricsRegistry::Global().CounterValue(
-                "idivm_fused_steps_total"),
-            fused0);
+  EXPECT_EQ(counter("idivm_fused_steps_total"), fused1);
+  EXPECT_EQ(counter("idivm_program_cache_misses_total"), misses0 + 1);
+  EXPECT_EQ(counter("idivm_program_cache_hits_total"), hits0 + 1);
   testing::ExpectViewMatchesRecompute(&db_, m.view().plan, "v");
 }
 
-// A γ step naming a column its input lacks — a damaged script, as a loaded
-// repository can carry — fails its epoch with kCorruptScript instead of
-// aborting the process, and the rollback leaves every table and the
-// AccessStats as they were: first for a group key, then for an argument.
+// A damaged script, as a loaded repository can carry, is rejected when its
+// maintainer is built: every epoch then fails with kCorruptScript instead of
+// aborting the process, and leaves every table and the AccessStats as they
+// were. Damage: a γ group key, a γ argument, a compute query selecting on a
+// column its input lacks, an APPLY of an unregistered diff, a compute whose
+// output columns are not its diff's, and an unknown scalar function.
 TEST_F(MaintainerTest, CorruptAggregateColumnFailsEpoch) {
   const CompiledView view =
       CompileView("vp", testing::RunningExampleAggPlan(db_), db_);
@@ -171,25 +184,56 @@ TEST_F(MaintainerTest, CorruptAggregateColumnFailsEpoch) {
     }
     return out;
   };
-  const auto expect_corrupt = [&](CompiledView damaged) {
+  const auto expect_corrupt = [&](CompiledView damaged, const char* what) {
     Maintainer m(&db_, std::move(damaged));
+    EXPECT_EQ(m.compile_status().code(), StatusCode::kCorruptScript)
+        << what << ": " << m.compile_status().ToString();
     const std::string before = state();
     MaintainResult result;
     const Status status = m.TryMaintain(net, {}, &result);
-    EXPECT_EQ(status.code(), StatusCode::kCorruptScript) << status.ToString();
-    EXPECT_EQ(state(), before);
+    EXPECT_EQ(status.code(), StatusCode::kCorruptScript)
+        << what << ": " << status.ToString();
+    EXPECT_EQ(state(), before) << what;
   };
-  size_t g = 0;  // the view's γ step
-  for (; g < view.script.steps.size(); ++g) {
-    if (view.script.steps[g].aggregate.has_value()) break;
-  }
+  const auto first_step = [&](auto has) {
+    size_t i = 0;
+    while (i < view.script.steps.size() && !has(view.script.steps[i])) ++i;
+    return i;
+  };
+  const size_t g = first_step(
+      [](const ScriptStep& step) { return step.aggregate.has_value(); });
+  const size_t c = first_step([](const ScriptStep& step) {
+    return step.compute.has_value() && !step.compute->raw_relation;
+  });
+  const size_t a = first_step(
+      [](const ScriptStep& step) { return step.apply.has_value(); });
   ASSERT_LT(g, view.script.steps.size());
+  ASSERT_LT(c, view.script.steps.size());
+  ASSERT_LT(a, view.script.steps.size());
+
   CompiledView bad_key = view;
   bad_key.script.steps[g].aggregate->group_by[0] = "no_such";
-  expect_corrupt(std::move(bad_key));
+  expect_corrupt(std::move(bad_key), "γ group key");
   CompiledView bad_arg = view;
   bad_arg.script.steps[g].aggregate->aggs[0].arg = Col("no_such");
-  expect_corrupt(std::move(bad_arg));
+  expect_corrupt(std::move(bad_arg), "γ argument");
+
+  const PlanPtr query = view.script.steps[c].compute->query;
+  expect_corrupt(testing::SelectOnMissingColumn(view, "no_such"),
+                 "compute column");
+  CompiledView bad_apply = view;
+  bad_apply.script.steps[a].apply->diff_name = "no_such_diff";
+  expect_corrupt(std::move(bad_apply), "apply of an unregistered diff");
+  std::vector<std::string> columns = InferSchema(query, db_).ColumnNames();
+  columns.pop_back();
+  CompiledView bad_output = view;
+  bad_output.script.steps[c].compute->query = ProjectColumns(query, columns);
+  expect_corrupt(std::move(bad_output), "compute output columns");
+  CompiledView bad_function = view;
+  bad_function.script.steps[c].compute->query = PlanNode::Select(
+      query, Eq(Expr::Function("no_such_fn", {Col(columns[0])}),
+                Lit(Value(int64_t{1}))));
+  expect_corrupt(std::move(bad_function), "unknown function");
 }
 
 }  // namespace

@@ -506,6 +506,28 @@ TEST_F(RecoveryTest, ParallelReplayMatchesSequentialBitForBit) {
   }
 }
 
+// A snapshot whose repository holds a script that does not compile fails
+// recovery at load time, naming the view and the reason, before any batch
+// is replayed.
+TEST_F(RecoveryTest, UncompilableScriptFailsLoad) {
+  RunWorkload("uncompilable", 2);
+  ASSERT_EQ(WriteSnapshot(*db_,
+                          testing::RepositoryOf(testing::SelectOnMissingColumn(
+                              manager_->GetView("v").view(), "no_such_column")),
+                          0, snapshot_path_),
+            "");
+  Database db2;
+  ViewManager vm2(&db2);
+  const RecoverResult result = RecoverInto(&db2, &vm2);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error.rfind("repository load failed: view v", 0), 0u)
+      << result.error;
+  EXPECT_NE(result.error.find("no_such_column"), std::string::npos)
+      << result.error;
+  EXPECT_EQ(result.batches_applied, 0u);
+  EXPECT_FALSE(vm2.HasView("v"));
+}
+
 TEST_F(RecoveryTest, MissingSnapshotReportsError) {
   RunWorkload("missing", 1);
   Database db2;

@@ -1,8 +1,10 @@
-// Fuzzing the ∆-script repository parser (src/core/script_io): a loaded
-// script is external input, so every truncation and byte-level mutation of
-// a valid serialization must come back as a parse error — never a crash,
-// abort, or exception. The corpus is a real serialized BSMA view (the
-// richest script shape: joins, aggregates, caches, diff registries).
+// Fuzzing the ∆-script repository parser (src/core/script_io) and the
+// compiler behind it (src/exec): a loaded script is external input, so every
+// truncation and byte-level mutation of a valid serialization must come
+// back as a parse error, or parse and then compile or be rejected as a
+// corrupt script — never a crash, abort, or exception. The corpus is a real
+// serialized BSMA view (the richest script shape: joins, aggregates,
+// caches, diff registries).
 
 #include <string>
 
@@ -12,6 +14,7 @@
 #include "src/core/maintainer.h"
 #include "src/core/script_io.h"
 #include "src/core/view_manager.h"
+#include "src/exec/compiler.h"
 #include "src/workload/bsma.h"
 #include "tests/test_util.h"
 
@@ -32,6 +35,16 @@ class ScriptIoFuzzTest : public ::testing::Test {
     view_ = std::make_unique<CompiledView>(
         CompileView("v", workload_->ViewPlan("qs1"), db_));
     corpus_ = SerializeCompiledView(*view_);
+  }
+
+  // A mutation that loads is compiled against the same database: it
+  // compiles, or is rejected as a corrupt script.
+  void ExpectCompilesOrRejected(const CompiledView& view, int round) {
+    const auto program = exec::CompileProgram(view, db_);
+    if (!program.ok()) {
+      EXPECT_EQ(program.status().code(), StatusCode::kCorruptScript)
+          << "round " << round << ": " << program.status().ToString();
+    }
   }
 
   Database db_;
@@ -64,6 +77,7 @@ TEST_F(ScriptIoFuzzTest, EveryTruncationIsAParseError) {
 // Seeded random byte mutations: flip 1-8 bytes to arbitrary values. The
 // result either parses (a benign mutation, e.g. inside a string literal or
 // a number that stays in range) or fails with an error — but never aborts.
+// What parses compiles or is rejected as a corrupt script.
 TEST_F(ScriptIoFuzzTest, RandomByteMutationsNeverCrash) {
   Rng rng(20260805);
   const int rounds = 4000;
@@ -79,6 +93,7 @@ TEST_F(ScriptIoFuzzTest, RandomByteMutationsNeverCrash) {
     const LoadResult result = LoadCompiledView(mutated, db_);
     if (result.ok) {
       ++parsed;
+      ExpectCompilesOrRejected(result.view, round);
     } else {
       EXPECT_FALSE(result.error.empty()) << "round " << round;
     }
@@ -88,7 +103,8 @@ TEST_F(ScriptIoFuzzTest, RandomByteMutationsNeverCrash) {
 }
 
 // Structured mutations: splice random digit strings over numeric tokens to
-// hit the enum-tag and out-of-range integer validation specifically.
+// hit the enum-tag and out-of-range integer validation specifically. What
+// parses compiles or is rejected as a corrupt script.
 TEST_F(ScriptIoFuzzTest, NumericSplicesAreRejectedNotFatal) {
   Rng rng(42);
   const char* splices[] = {"9",      "99",       "-1",
@@ -107,7 +123,9 @@ TEST_F(ScriptIoFuzzTest, NumericSplicesAreRejectedNotFatal) {
         splices[rng.UniformInt(0, std::size(splices) - 1)];
     mutated = mutated.substr(0, pos) + splice + mutated.substr(pos + 1);
     const LoadResult result = LoadCompiledView(mutated, db_);
-    if (!result.ok) {
+    if (result.ok) {
+      ExpectCompilesOrRejected(result.view, round);
+    } else {
       EXPECT_FALSE(result.error.empty()) << "round " << round;
     }
   }

@@ -1,5 +1,5 @@
 // Shared helpers for idIVM tests: the Fig. 1/2 toy database, view
-// recomputation, and IVM-vs-recompute assertions.
+// recomputation, IVM-vs-recompute assertions and damaged ∆-scripts.
 
 #ifndef IDIVM_TESTS_TEST_UTIL_H_
 #define IDIVM_TESTS_TEST_UTIL_H_
@@ -9,6 +9,8 @@
 #include "gtest/gtest.h"
 #include "src/algebra/evaluator.h"
 #include "src/algebra/plan.h"
+#include "src/core/compose.h"
+#include "src/core/script_io.h"
 #include "src/storage/database.h"
 
 namespace idivm::testing {
@@ -87,6 +89,26 @@ inline void ExpectViewMatchesRecompute(Database* db, const PlanPtr& plan,
       << context << "\nexpected (recomputed):\n"
       << expected.Sorted().ToString() << "\nactual (maintained):\n"
       << actual.Sorted().ToString();
+}
+
+// `view` damaged as a loaded repository can carry it: its first
+// diff-computing step's query becomes σ(`column` = 1) over that query,
+// naming a column the query's output lacks.
+inline CompiledView SelectOnMissingColumn(CompiledView view,
+                                          const std::string& column) {
+  for (ScriptStep& step : view.script.steps) {
+    if (!step.compute.has_value() || step.compute->raw_relation) continue;
+    step.compute->query = PlanNode::Select(
+        step.compute->query, Eq(Col(column), Lit(Value(int64_t{1}))));
+    break;
+  }
+  return view;
+}
+
+// A one-view repository dump, as ViewManager::SerializeRepository frames
+// it.
+inline std::string RepositoryOf(const CompiledView& view) {
+  return "(repository 1 1\n" + SerializeCompiledView(view) + "\n)\n";
 }
 
 }  // namespace idivm::testing

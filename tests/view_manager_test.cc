@@ -108,6 +108,26 @@ TEST_F(ViewManagerTest, RepositoryLoadErrors) {
   EXPECT_FALSE(manager.LoadRepository("nonsense").empty());
 }
 
+// A loaded script is compiled before its view is registered: one whose
+// compute step names a column its input lacks is rejected at load time,
+// naming the view and the column, and no maintainer is registered for it.
+TEST_F(ViewManagerTest, RepositoryLoadRejectsUncompilableScript) {
+  std::string dump;
+  {
+    ViewManager manager(&db_);
+    manager.DefineView("v", testing::RunningExampleSpjPlan(db_));
+    dump = testing::RepositoryOf(
+        testing::SelectOnMissingColumn(manager.GetView("v").view(),
+                                       "no_such_column"));
+  }
+  ViewManager reloaded(&db_);
+  const std::string error = reloaded.LoadRepository(dump);
+  EXPECT_NE(error.find("view v"), std::string::npos) << error;
+  EXPECT_NE(error.find("no_such_column"), std::string::npos) << error;
+  EXPECT_FALSE(reloaded.HasView("v"));
+  EXPECT_TRUE(reloaded.ViewNames().empty());
+}
+
 TEST_F(ViewManagerTest, FailedModificationsAreNotLogged) {
   ViewManager manager(&db_);
   manager.DefineView("v", testing::RunningExampleSpjPlan(db_));
@@ -117,10 +137,9 @@ TEST_F(ViewManagerTest, FailedModificationsAreNotLogged) {
   EXPECT_TRUE(manager.Refresh().empty());
 }
 
-// Each maintainer compiles its view's program on its first epoch and keeps
-// it: the first refresh after DefineView compiles every view (one miss
-// each), the next compiles none (one hit each). RepairView and
-// LoadRepository compile only the maintainers they build.
+// Each maintainer compiles its view's program when it is built and keeps
+// it: DefineView, RepairView and LoadRepository each count one miss per
+// maintainer they build, and every epoch counts one hit.
 TEST_F(ViewManagerTest, EachMaintainerCompilesOnce) {
   const auto counter = [](const char* name) {
     return obs::MetricsRegistry::Global().CounterValue(name);
@@ -143,24 +162,27 @@ TEST_F(ViewManagerTest, EachMaintainerCompilesOnce) {
   ViewManager manager(&db_);
   manager.DefineView("v", testing::RunningExampleSpjPlan(db_));
   manager.DefineView("vp", testing::RunningExampleAggPlan(db_));
+  expect_counts(2, 0, "defining a view compiles it");
   touch_parts(manager);
   manager.Refresh();
-  expect_counts(2, 0, "first refresh compiles every view");
+  expect_counts(0, 2, "a refresh compiles none");
   touch_parts(manager);
   manager.Refresh();
-  expect_counts(0, 2, "second refresh compiles none");
+  expect_counts(0, 2, "nor does the next");
 
   manager.RepairView("v");
+  expect_counts(1, 0, "repair rebuilds only v");
   touch_parts(manager);
   manager.Refresh();
-  expect_counts(1, 1, "repair rebuilds only v");
+  expect_counts(0, 2, "the repaired v runs its new program");
 
   const std::string dump = manager.SerializeRepository();
   ViewManager reloaded(&db_);
   ASSERT_EQ(reloaded.LoadRepository(dump), "");
+  expect_counts(2, 0, "a loaded repository compiles its own maintainers");
   touch_parts(reloaded);
   reloaded.Refresh();
-  expect_counts(2, 0, "a loaded repository compiles its own maintainers");
+  expect_counts(0, 2, "and runs them");
   touch_parts(manager);
   manager.Refresh();
   expect_counts(0, 2, "the original manager keeps its programs");

@@ -11,14 +11,15 @@ Three checks, all against working-tree files only (no network):
    are skipped; in-page "#anchor" links are checked against the current
    file's own headings.
 
-2. Public observability, execution, serving and persistence headers.
-   Every header under src/obs/, src/exec/, src/serve/ and src/persist/
-   must open with a file-top comment block and carry a comment directly
-   above each namespace-scope class/struct definition — these headers are
-   the documented surface of docs/OBSERVABILITY.md, of DESIGN.md
-   "Compiled execution", "Service model & housekeeping" and "Persistence
-   & recovery", so an undocumented type is a contract gap, not a style
-   nit.
+2. Public observability, execution, algebra, expression, diff, serving
+   and persistence headers. Every header under src/obs/, src/exec/,
+   src/algebra/, src/expr/, src/diff/, src/serve/ and src/persist/ must
+   open with a file-top comment block and carry a comment directly above
+   each namespace-scope class/struct definition — these headers are the
+   documented surface of docs/OBSERVABILITY.md, of DESIGN.md "Compiled
+   execution" (plans, expressions and the diffs APPLY binds),
+   "Service model & housekeeping" and "Persistence & recovery", so an
+   undocumented type is a contract gap, not a style nit.
 
 3. The architecture map. docs/ARCHITECTURE.md must mention every
    src/<subsystem> directory that holds tracked sources, so the
@@ -123,7 +124,8 @@ def check_obs_headers():
     errors = []
     for header in tracked_files(".h"):
         if not header.startswith(
-                ("src/obs/", "src/exec/", "src/serve/", "src/persist/")):
+                ("src/obs/", "src/exec/", "src/algebra/", "src/expr/",
+                 "src/diff/", "src/serve/", "src/persist/")):
             continue
         with open(os.path.join(REPO, header), encoding="utf-8") as f:
             lines = f.read().splitlines()
