@@ -49,8 +49,8 @@ void BM_IndexProbe(benchmark::State& state) {
                                     {"v", DataType::kDouble}}),
                             {"id"});
   FillTable(t, state.range(0), &rng);
-  t.EnsureIndex({"k"});
   const std::vector<size_t> cols = {1};
+  t.EnsureIndex(cols);
   int64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

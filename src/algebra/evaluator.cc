@@ -17,54 +17,37 @@ Relation IndexedRelation::ScanCounted() const {
   return data_;
 }
 
-const IndexedRelation::LazyIndex& IndexedRelation::GetOrBuildIndex(
+const RowIndex& IndexedRelation::GetOrBuildIndex(
     const std::vector<size_t>& columns) const {
   std::lock_guard<std::mutex> lock(*index_mutex_);
   auto it = indexes_.find(columns);
   if (it == indexes_.end()) {
-    // Build the index once; building is free in the paper's model (indices
-    // are assumed to exist at maintenance time).
-    LazyIndex index;
-    for (size_t i = 0; i < data_.rows().size(); ++i) {
-      index[HashRowKey(data_.rows()[i], columns)].push_back(i);
-    }
-    it = indexes_.emplace(columns, std::move(index)).first;
+    // Building is free in the paper's model (indices are assumed to exist
+    // at maintenance time).
+    it = indexes_.emplace(columns, RowIndex(columns, data_.rows())).first;
   }
   return it->second;
 }
 
 std::vector<Row> IndexedRelation::Probe(const std::vector<size_t>& columns,
                                         const Row& key) const {
-  const LazyIndex& index = GetOrBuildIndex(columns);
+  const RowIndex& index = GetOrBuildIndex(columns);
   ++ChargeSink(stats_).index_lookups;
   std::vector<Row> out;
-  size_t h = 0xcbf29ce484222325ULL;
-  for (const Value& v : key) {
-    h ^= v.Hash();
-    h *= 0x100000001b3ULL;
-  }
-  const auto bucket = index.find(h);
-  if (bucket == index.end()) return out;
-  for (size_t row_idx : bucket->second) {
-    const Row& row = data_.rows()[row_idx];
-    bool match = true;
-    for (size_t i = 0; i < columns.size(); ++i) {
-      if (row[columns[i]].Compare(key[i]) != 0) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      ++ChargeSink(stats_).tuple_reads;
-      out.push_back(row);
-    }
-  }
+  index.ForEachMatch(data_.rows(), key, [&](size_t row_idx) {
+    ++ChargeSink(stats_).tuple_reads;
+    out.push_back(data_.rows()[row_idx]);
+  });
   return out;
 }
 
-Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
+namespace {
+
+// Lowers `plan` against `ctx`, binding its transient refs to `*regs`, and
+// builds the stored-table indexes the lowered plan probes.
+PhysicalPlan LowerWithIndexes(const PlanPtr& plan, const EvalContext& ctx,
+                              std::vector<const Relation*>* regs) {
   IDIVM_CHECK(ctx.db != nullptr, "EvalContext requires a database");
-  std::vector<const Relation*> regs;
   const RefBinder bind = [&](const PlanNode& ref, Schema* schema) {
     const auto it = ctx.transient.find(ref.ref_name());
     if (it == ctx.transient.end() ||
@@ -72,12 +55,30 @@ Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
       return -1;
     }
     *schema = it->second->schema();
-    regs.push_back(it->second);
-    return static_cast<int>(regs.size()) - 1;
+    regs->push_back(it->second);
+    return static_cast<int>(regs->size()) - 1;
   };
-  const StatusOr<PhysicalPlan> physical = LowerPlan(plan, *ctx.db, bind);
+  StatusOr<PhysicalPlan> physical = LowerPlan(plan, *ctx.db, bind);
   IDIVM_CHECK(physical.ok(), physical.status().message());
-  return RunPlan(physical.value(), ctx, regs.data());
+  IndexSet probed;
+  CollectProbedIndexes(physical.value(), &probed);
+  for (const auto& [table, columns] : probed) {
+    ctx.db->GetTable(table).EnsureIndex(columns);
+  }
+  return std::move(physical).value();
+}
+
+}  // namespace
+
+Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
+  std::vector<const Relation*> regs;
+  const PhysicalPlan physical = LowerWithIndexes(plan, ctx, &regs);
+  return RunPlan(physical, ctx, regs.data());
+}
+
+void EnsureProbedIndexes(const PlanPtr& plan, const EvalContext& ctx) {
+  std::vector<const Relation*> regs;
+  LowerWithIndexes(plan, ctx, &regs);
 }
 
 }  // namespace idivm

@@ -19,11 +19,11 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <unordered_map>
 
 #include "src/algebra/plan.h"
 #include "src/storage/database.h"
 #include "src/types/relation.h"
+#include "src/types/row_index.h"
 
 namespace idivm {
 
@@ -33,9 +33,6 @@ class IndexedRelation {
  public:
   IndexedRelation(Relation data, AccessStats* stats);
 
-  const Schema& schema() const { return data_.schema(); }
-  size_t size() const { return data_.size(); }
-
   // Full scan; charges one tuple read per row.
   Relation ScanCounted() const;
 
@@ -44,21 +41,18 @@ class IndexedRelation {
   std::vector<Row> Probe(const std::vector<size_t>& columns,
                          const Row& key) const;
 
-  const Relation& data_uncounted() const { return data_; }
-
  private:
-  using LazyIndex = std::unordered_map<size_t, std::vector<size_t>>;
   // Finds or builds the index on `columns`. The build is serialized so
   // concurrent script steps can probe the same pre-state relation; a built
   // index is immutable (the relation never changes), so probing it after
   // the lookup needs no lock.
-  const LazyIndex& GetOrBuildIndex(const std::vector<size_t>& columns) const;
+  const RowIndex& GetOrBuildIndex(const std::vector<size_t>& columns) const;
 
   Relation data_;
   AccessStats* stats_;
   // unique_ptr keeps IndexedRelation movable despite the mutex.
   std::unique_ptr<std::mutex> index_mutex_ = std::make_unique<std::mutex>();
-  mutable std::map<std::vector<size_t>, LazyIndex> indexes_;
+  mutable std::map<std::vector<size_t>, RowIndex> indexes_;
 };
 
 // Everything a plan may reference during evaluation.
@@ -77,10 +71,15 @@ struct EvalContext {
 };
 
 // Evaluates `plan` to a materialized relation: lowers it against `ctx`'s
-// stored schemas and transient bindings, then runs it. The plan must lower
-// (LowerPlan): a missing table or column, or a ref `ctx` does not bind with
-// the ref's columns, fails a check before any row is read.
+// stored schemas and transient bindings, builds the indexes it probes, then
+// runs it. The plan must lower (LowerPlan): a missing table or column, or a
+// ref `ctx` does not bind with the ref's columns, fails a check before any
+// row is read. Never runs beside an epoch.
 Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx);
+
+// Builds, charge-free, every stored-table index `plan` probes once lowered
+// against `ctx`, so an engine can build them before its first epoch.
+void EnsureProbedIndexes(const PlanPtr& plan, const EvalContext& ctx);
 
 }  // namespace idivm
 

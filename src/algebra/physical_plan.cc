@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/check.h"
@@ -83,7 +82,7 @@ bool CheckProbeable(const PlanPtr& plan,
                     const Database& db) {
   switch (plan->kind()) {
     case PlanKind::kScan:
-      return true;  // hash index on demand
+      return true;  // any columns: the index is built when compiled
     case PlanKind::kSelect:
       return CheckProbeable(plan->child(0), columns, db);
     case PlanKind::kProject: {
@@ -502,48 +501,6 @@ class Lowering {
 
 // ---- Running ----------------------------------------------------------------
 
-// In-memory hash side of the materializing joins (no charges: the input is
-// already materialized).
-struct HashedSide {
-  std::unordered_map<size_t, std::vector<size_t>> buckets;
-  const Relation* rel = nullptr;
-  std::vector<size_t> key_cols;
-
-  void Build(const Relation& rel_in, const std::vector<size_t>& cols) {
-    rel = &rel_in;
-    key_cols = cols;
-    for (size_t i = 0; i < rel_in.rows().size(); ++i) {
-      const Row& row = rel_in.rows()[i];
-      if (RowKeyHasNull(ProjectRow(row, cols))) continue;
-      buckets[HashRowKey(row, cols)].push_back(i);
-    }
-  }
-
-  // Indices of rows whose key_cols equal `key`.
-  std::vector<size_t> Matches(const Row& key) const {
-    std::vector<size_t> out;
-    size_t h = 0xcbf29ce484222325ULL;
-    for (const Value& v : key) {
-      h ^= v.Hash();
-      h *= 0x100000001b3ULL;
-    }
-    const auto it = buckets.find(h);
-    if (it == buckets.end()) return out;
-    for (size_t idx : it->second) {
-      const Row& row = rel->rows()[idx];
-      bool match = true;
-      for (size_t i = 0; i < key_cols.size(); ++i) {
-        if (row[key_cols[i]].Compare(key[i]) != 0) {
-          match = false;
-          break;
-        }
-      }
-      if (match) out.push_back(idx);
-    }
-    return out;
-  }
-};
-
 struct AggState {
   int64_t row_count = 0;
   int64_t nonnull_count = 0;
@@ -787,15 +744,16 @@ class Runner {
       }
       return out;
     }
-    HashedSide hashed;
-    hashed.Build(*right, op.rk_all);
+    // Rows with a NULL key stay in the index: no probe key matches them.
+    const std::vector<Row>& rrows = right->rows();
+    const RowIndex hashed(op.rk_all, rrows);
     for (const Row& lrow : left->rows()) {
       const Row key = ProjectRow(lrow, op.lk_all);
       if (RowKeyHasNull(key)) continue;
-      for (size_t ridx : hashed.Matches(key)) {
-        Row combined = ConcatRows(lrow, right->rows()[ridx]);
+      hashed.ForEachMatch(rrows, key, [&](size_t ridx) {
+        Row combined = ConcatRows(lrow, rrows[ridx]);
         if (op.residual->Holds(combined)) out.Append(std::move(combined));
-      }
+      });
     }
     return out;
   }
@@ -869,18 +827,16 @@ class Runner {
     OpResult right;
     if (!EvalInputs(op, &left, &right)) return out;
     if (op.kind == PlanOp::Kind::kSemiHash) {
-      HashedSide hashed;
-      hashed.Build(*right, op.rk_all);
+      const std::vector<Row>& rrows = right->rows();
+      const RowIndex hashed(op.rk_all, rrows);
       for (const Row& lrow : left->rows()) {
         const Row key = ProjectRow(lrow, op.lk_all);
         bool matched = false;
         if (!RowKeyHasNull(key)) {
-          for (size_t ridx : hashed.Matches(key)) {
-            if (op.residual->Holds(ConcatRows(lrow, right->rows()[ridx]))) {
-              matched = true;
-              break;
-            }
-          }
+          hashed.ForEachMatch(rrows, key, [&](size_t ridx) {
+            matched = matched ||
+                      op.residual->Holds(ConcatRows(lrow, rrows[ridx]));
+          });
         }
         if (matched != op.anti) out.Append(lrow);
       }
@@ -1027,6 +983,28 @@ StatusOr<PhysicalPlan> LowerPlan(const PlanPtr& plan, const Database& db,
   out.root = lowering.Plan(plan);
   IDIVM_RETURN_IF_ERROR(lowering.status());
   return out;
+}
+
+void CollectProbedIndexes(const PhysicalPlan& plan, IndexSet* out) {
+  for (const ProbeOp& op : plan.probes) {
+    if (op.kind == ProbeOp::Kind::kScan) {
+      out->emplace(plan.tables[op.table_id], op.key_cols);
+    }
+  }
+}
+
+void CollectPreStateTables(const PhysicalPlan& plan,
+                           std::set<std::string>* out) {
+  for (const PlanOp& op : plan.ops) {
+    if (op.kind == PlanOp::Kind::kScan && op.pre_state) {
+      out->insert(plan.tables[op.table_id]);
+    }
+  }
+  for (const ProbeOp& op : plan.probes) {
+    if (op.kind == ProbeOp::Kind::kScan && op.pre_state) {
+      out->insert(plan.tables[op.table_id]);
+    }
+  }
 }
 
 Relation RunPlan(const PhysicalPlan& plan, const EvalContext& ctx,

@@ -25,7 +25,9 @@
 
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/algebra/evaluator.h"
@@ -140,6 +142,17 @@ using RefBinder = std::function<int(const PlanNode& ref, Schema* schema)>;
 // TryInferSchema) — is a CorruptScriptError.
 StatusOr<PhysicalPlan> LowerPlan(const PlanPtr& plan, const Database& db,
                                  const RefBinder& bind);
+
+// Stored-table indexes, each named by its table and column offsets.
+using IndexSet = std::set<std::pair<std::string, std::vector<size_t>>>;
+
+// Adds to `out` the index each probe-path scan leaf of `plan` reads, pre-
+// state leaves included (an unchanged table serves its pre-state probes).
+void CollectProbedIndexes(const PhysicalPlan& plan, IndexSet* out);
+
+// Adds to `out` the stored tables `plan` reads in pre-state.
+void CollectPreStateTables(const PhysicalPlan& plan,
+                           std::set<std::string>* out);
 
 // Runs `plan`. kSlotRef ops read `regs`; `ctx` supplies the stored tables,
 // the pre-state relations and the assist-unsafe set. Each intermediate

@@ -35,21 +35,6 @@ std::string MaintainResult::ToString() const {
                 " dummy (overestimated) tuples");
 }
 
-namespace {
-
-void CollectPreStateTables(const PlanPtr& plan, std::set<std::string>* out) {
-  if (plan == nullptr) return;
-  if (plan->kind() == PlanKind::kScan && plan->state() == StateTag::kPre) {
-    out->insert(plan->table_name());
-  }
-  for (const PlanPtr& child : plan->children()) {
-    CollectPreStateTables(child, out);
-  }
-}
-
-// Reverse-applies net changes to a post-state snapshot, reconstructing the
-// pre-state relation (deferred IVM; see DESIGN.md "Pre-state
-// reconstruction").
 Relation ReconstructPreState(const Table& table,
                              const std::vector<Modification>& net) {
   Relation post = table.SnapshotUncounted();
@@ -83,23 +68,14 @@ Relation ReconstructPreState(const Table& table,
   return pre;
 }
 
-}  // namespace
-
 Maintainer::Maintainer(Database* db, CompiledView view)
     : db_(db),
       view_(std::move(view)),
       program_(exec::CompileProgram(view_, *db_)) {
-  std::set<std::string> pre_tables;
-  for (const ScriptStep& step : view_.script.steps) {
-    if (step.compute.has_value()) {
-      CollectPreStateTables(step.compute->query, &pre_tables);
-    }
-    if (step.aggregate.has_value()) {
-      CollectPreStateTables(step.aggregate->input_post_plan, &pre_tables);
-      CollectPreStateTables(step.aggregate->input_pre_plan, &pre_tables);
-    }
+  if (!program_.ok()) return;
+  for (const auto& [table, columns] : program_.value()->indexes) {
+    db_->GetTable(table).EnsureIndex(columns);
   }
-  pre_state_tables_.assign(pre_tables.begin(), pre_tables.end());
 }
 
 MaintainResult Maintainer::Maintain(
@@ -137,7 +113,7 @@ Status Maintainer::TryMaintain(
     instances = GenerateDiffInstances(view_, net_changes, *db_);
     // Pre-state reconstruction, only for tables the script reads in
     // pre-state.
-    for (const std::string& table : pre_state_tables_) {
+    for (const std::string& table : program_.value()->pre_state_tables) {
       const auto it = net_changes.find(table);
       if (it == net_changes.end()) continue;  // unchanged: pre == post
       pre_state.emplace(table, IndexedRelation(ReconstructPreState(

@@ -5,16 +5,16 @@
 // (diff computation / cache update / view update).
 //
 // A maintainer compiles its view's script into a CompiledProgram (src/exec)
-// when it is built and keeps it; every epoch runs that program on the
-// register VM. A script that does not compile is rejected then, before any
-// epoch. With MaintainOptions::threads > 1 the VM schedules the
-// program over the rule DAG (Fig. 6): instructions whose input diffs are
-// ready and whose stored-table accesses do not conflict run concurrently on
-// a thread pool, so the independent per-base-table diff chains of the
-// script proceed in parallel. Blocking (aggregation) steps act as barriers.
-// Per-step costs accumulate in thread-private StatsArenas and are merged
-// single-threaded in script order, so view contents and every AccessStats
-// counter are identical to sequential execution (asserted by
+// and builds the indexes it probes when it is built; every epoch runs that
+// program on the register VM. A script that does not compile is rejected
+// then, before any epoch. With MaintainOptions::threads > 1 the VM
+// schedules the program over the rule DAG (Fig. 6): instructions whose
+// input diffs are ready and whose stored-table accesses do not conflict run
+// concurrently on a thread pool, so the independent per-base-table diff
+// chains of the script proceed in parallel. Blocking (aggregation) steps act
+// as barriers. Per-step costs accumulate in thread-private StatsArenas and
+// are merged single-threaded in script order, so view contents and every
+// AccessStats counter are identical to sequential execution (asserted by
 // parallel_maintain_test).
 
 #ifndef IDIVM_CORE_MAINTAINER_H_
@@ -104,12 +104,18 @@ struct MaintainResult {
   std::string ToString() const;
 };
 
+// Reverse-applies a table's net changes to its post-state contents,
+// reconstructing its pre-state (DESIGN.md "Pre-state reconstruction").
+Relation ReconstructPreState(const Table& table,
+                             const std::vector<Modification>& net);
+
 class Maintainer {
  public:
   // `db` must outlive the maintainer; `view` is the compiled view whose
   // script this maintainer executes. Compiles the script against `db`'s
-  // schemas; a script that does not compile leaves the maintainer without
-  // a program, and every epoch fails with compile_status().
+  // schemas and builds the indexes it probes; a script that does not
+  // compile leaves the maintainer without a program, and every epoch fails
+  // with compile_status().
   Maintainer(Database* db, CompiledView view);
 
   const CompiledView& view() const { return view_; }
@@ -162,8 +168,6 @@ class Maintainer {
   // maintainers, so a kept program never outlives the schemas it was
   // compiled against.
   StatusOr<std::shared_ptr<const exec::CompiledProgram>> program_;
-  // Tables the script reads in pre-state (computed once from the script).
-  std::vector<std::string> pre_state_tables_;
   // The program's per-rule counters, idivm_rule_accesses_total{view,rule},
   // one per step. Bound by the first committed epoch — a failed epoch
   // registers none, as when each was looked up at its increment — and held:

@@ -74,7 +74,7 @@ StatusOr<ApplyBinding> BindApply(const DiffSchema& schema,
                                  const Schema& target_schema);
 
 // Applies `diff` to `target`. Update/delete diffs locate target rows through
-// an index on the diff's Ī′ columns (created on demand). Insert diffs
+// the index on the diff's Ī′ columns, which must exist. Insert diffs
 // enforce the paper's NOT-IN guard: a tuple already present in identical
 // form is skipped; a primary-key conflict with *different* attribute values
 // indicates a non-effective diff and aborts, as does a diff that does not

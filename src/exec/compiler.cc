@@ -187,6 +187,8 @@ class ScriptCompiler {
           });
       if (!plan.ok()) return InStep(what, plan.status());
       op->plan = std::move(plan).value();
+      CollectProbedIndexes(op->plan, &p_->indexes);
+      CollectPreStateTables(op->plan, &p_->pre_state_tables);
       if (cs.raw_relation) {
         return Produce(cs.out_name, InferSchema(cs.query, db_),
                        &op->out_slot);
@@ -241,6 +243,9 @@ class ScriptCompiler {
         StatusOr<ApplyBinding> binding = BindApply(*diff.schema, ts);
         if (!binding.ok()) return binding.status();
         diff.binding = std::move(binding).value();
+        if (diff.schema->type() != DiffType::kInsert) {
+          p_->indexes.emplace(as.target_table, diff.binding.match_cols);
+        }
         op->diffs.push_back(std::move(diff));
       }
       op->capture = !as.returning_pre.empty() || !as.returning_post.empty();
@@ -301,6 +306,11 @@ class ScriptCompiler {
       return InStep(StrCat("γ-maintain ", ag.node_name), plan.status());
     }
     b->probe = std::move(plan).value();
+    CollectProbedIndexes(b->probe, &p_->indexes);
+    CollectPreStateTables(b->probe, &p_->pre_state_tables);
+    if (!b->opcache_key_cols.empty()) {
+      p_->indexes.emplace(ag.opcache_table, b->opcache_key_cols);
+    }
     IDIVM_RETURN_IF_ERROR(
         Produce(ag.out_update, b->update->relation_schema(), &b->out_update));
     IDIVM_RETURN_IF_ERROR(

@@ -3,9 +3,9 @@
 // decision that depends only on the script and the stored schemas — each
 // compute step's physical plan (the same lowering Evaluate uses), diff-schema
 // lookups, each APPLY's column offsets, each γ step's bindings, registers
-// and recompute probe, step fusion — is made once here. Compilation is
-// total: a script binds every name it mentions, or it is rejected with a
-// CorruptScriptError and never runs.
+// and recompute probe, step fusion, the indexes the program probes — is
+// made once here. Compilation is total: a script binds every name it
+// mentions, or it is rejected with a CorruptScriptError and never runs.
 
 #ifndef IDIVM_EXEC_COMPILER_H_
 #define IDIVM_EXEC_COMPILER_H_

@@ -6,13 +6,15 @@
 // only on the script and the stored schemas — each compute step's physical
 // plan (physical_plan.h), diff-schema lookups, each γ step's bindings and
 // recompute probe, each APPLY's column offsets, step labels and
-// footprints — is resolved once, when the maintainer is built. A script
-// that does not compile completely has no program.
+// footprints and the stored-table indexes it probes — is resolved once,
+// when the maintainer is built. A script that does not compile completely
+// has no program.
 
 #ifndef IDIVM_EXEC_PROGRAM_H_
 #define IDIVM_EXEC_PROGRAM_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -90,6 +92,13 @@ struct CompiledProgram {
   // spans), cost-model phase and footprint.
   std::vector<StepAccess> steps;
   std::vector<Instruction> instructions;
+
+  // Every index the program probes — compute-plan and γ recompute-probe
+  // leaves, update/delete APPLY match columns, γ operator-cache keys —
+  // built by the maintainer, so an epoch never creates one.
+  IndexSet indexes;
+  // The stored tables its plans read in pre-state.
+  std::set<std::string> pre_state_tables;
 
   int64_t fused_steps = 0;  // steps.size() - instructions.size()
 };

@@ -71,7 +71,7 @@ SdbtDevicesParts::SdbtDevicesParts(Database* db,
     const Schema schema = InferSchema(plan, *db_);
     Table& aux = db_->CreateTable(aux_link_name_, schema, {"did", "pid"});
     aux.BulkLoadUncounted(Evaluate(plan, ctx));
-    aux.EnsureIndex({"pid"});
+    aux.EnsureIndex(aux.schema().ColumnIndices({"pid"}));
   }
 
   if (mode_ == Mode::kStreams) {
@@ -84,7 +84,7 @@ SdbtDevicesParts::SdbtDevicesParts(Database* db,
     const Schema schema = InferSchema(plan, *db_);
     Table& aux = db_->CreateTable(aux_pd_name_, schema, {"did", "pid"});
     aux.BulkLoadUncounted(Evaluate(plan, ctx));
-    aux.EnsureIndex({"pid"});
+    aux.EnsureIndex(aux.schema().ColumnIndices({"pid"}));
   }
 
   // The aggregate view V'(did, cost), computed through aux_link.

@@ -1,26 +1,25 @@
 // Stored, indexed relations.
 //
 // A Table is a slotted row store with a unique primary-key hash index and
-// secondary hash indexes on arbitrary column subsets (created on demand —
-// idIVM applies i-diffs through indexes on subsets of a view's key
-// components, Section 2). Every access is charged to the owning Database's
-// AccessStats, implementing the Section 6 cost model.
+// secondary hash indexes on arbitrary column subsets (idIVM applies i-diffs
+// through indexes on subsets of a view's key components, Section 2). As the
+// Section 6 cost model assumes, an index exists before it is probed:
+// EnsureIndex is its only creator, and a probe without one fails a check.
+// Every access is charged to the owning Database's AccessStats,
+// implementing the Section 6 cost model.
 
 #ifndef IDIVM_STORAGE_TABLE_H_
 #define IDIVM_STORAGE_TABLE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/storage/access_stats.h"
 #include "src/types/relation.h"
+#include "src/types/row_index.h"
 #include "src/types/schema.h"
 
 namespace idivm {
@@ -55,19 +54,11 @@ class Table {
   bool UpdateByKey(const Row& key, const std::vector<size_t>& set_columns,
                    const Row& new_values);
 
-  // Deletes every row whose `columns` equal `key` (via a secondary index).
+  // Deletes every row whose `columns` equal `key` (via their index).
   // Returns the number of rows deleted. When `pre_images` is non-null the
   // deleted rows are appended to it (RETURNING).
   size_t DeleteWhereEquals(const std::vector<size_t>& columns, const Row& key,
                            std::vector<Row>* pre_images = nullptr);
-
-  // Updates `set_columns` of every row whose `match_columns` equal `key`.
-  // Returns the number of rows updated (rows whose current values already
-  // equal the new values still count as touched, matching the DML model).
-  size_t UpdateWhereEquals(const std::vector<size_t>& match_columns,
-                           const Row& key,
-                           const std::vector<size_t>& set_columns,
-                           const Row& new_values);
 
   // General in-place update: applies `mutator` to every row whose
   // `match_columns` equal `key` (one index lookup + one tuple write per
@@ -122,9 +113,13 @@ class Table {
   // Replaces the entire contents without charging accesses (bulk load).
   void BulkLoadUncounted(const Relation& data);
 
-  // Ensures a hash index exists on the named columns (no cost; the paper's
-  // model assumes indices pre-exist at maintenance time).
-  void EnsureIndex(const std::vector<std::string>& columns);
+  // Builds a hash index on the column offsets `columns` unless one exists,
+  // charging nothing (the paper's model assumes indices pre-exist at
+  // maintenance time). Must not run beside a probe of this table.
+  void EnsureIndex(const std::vector<size_t>& columns);
+
+  // Number of hash indexes, the primary one included.
+  size_t index_count() const { return 1 + secondary_.size(); }
 
   // Per-table accesses (in addition to the Database-wide counter): lets
   // benches separate base-table accesses from view/cache accesses — the
@@ -148,16 +143,13 @@ class Table {
     ChargeSink(stats_).tuple_writes += n;
     ChargeSink(&local_stats_).tuple_writes += n;
   }
-  struct HashIndex {
-    std::vector<size_t> columns;  // column indices
-    std::unordered_map<size_t, std::vector<size_t>> buckets;  // hash -> slots
-  };
-
-  void IndexInsert(HashIndex& index, size_t slot);
-  void IndexErase(HashIndex& index, size_t slot);
-  // Slots (live) whose `index.columns` equal `key`.
-  std::vector<size_t> IndexProbe(const HashIndex& index, const Row& key) const;
-  HashIndex& GetOrCreateIndex(const std::vector<size_t>& columns);
+  // The index on `columns`: or null, or a failed check naming them.
+  const RowIndex* FindIndex(const std::vector<size_t>& columns) const;
+  const RowIndex& IndexOn(const std::vector<size_t>& columns) const;
+  // Slots whose index columns equal `key`, in insertion order.
+  std::vector<size_t> IndexProbe(const RowIndex& index, const Row& key) const;
+  // Re-indexes every live slot in `index`.
+  void Rebuild(RowIndex& index) const;
   void EraseSlot(size_t slot);
 
   std::string name_;
@@ -172,14 +164,10 @@ class Table {
   std::vector<size_t> free_slots_;
   size_t live_count_ = 0;
 
-  HashIndex primary_;                  // unique index on key_indices_
-  // Concurrent readers may both demand a missing secondary index, so
-  // creation is serialized and the container keeps references stable across
-  // appends (deque, not vector). Probing an existing index needs no lock:
-  // writers never run concurrently with readers of the same table (the
-  // parallel executor orders table writes against reads).
-  std::deque<HashIndex> secondary_;    // created on demand
-  std::mutex secondary_mutex_;
+  RowIndex primary_;  // unique index on key_indices_
+  // Probes need no lock: the set never changes while an epoch runs, and
+  // the parallel executor orders table writes against reads.
+  std::vector<RowIndex> secondary_;
 };
 
 }  // namespace idivm

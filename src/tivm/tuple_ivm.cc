@@ -17,6 +17,11 @@ namespace idivm {
 
 namespace {
 
+// The transients an occurrence's affected rows and the recompute probe's
+// group keys are bound as.
+constexpr char kAffectedRef[] = "__tivm_aff";
+constexpr char kKeysRef[] = "__keys";
+
 // Shadow-column name for a (pre-value of) column.
 std::string ShadowName(const std::string& col) { return "__told_" + col; }
 
@@ -227,10 +232,45 @@ TupleIvm::TupleIvm(Database* db, const std::string& view_name,
         SupportsShadows(spj_plan_, scan, &contains) && contains);
   }
 
+  if (root_aggregate_) {
+    std::vector<ColumnDef> cols;
+    std::vector<ProjectItem> rename;
+    std::vector<ExprPtr> eqs;
+    for (const std::string& g : plan_->group_by()) {
+      cols.push_back({g, spj_schema_.column(spj_schema_.ColumnIndex(g)).type});
+      rename.push_back({Col(g), StrCat("__k_", g)});
+      eqs.push_back(Eq(Col(g), Col(StrCat("__k_", g))));
+    }
+    key_schema_ = Schema(cols);
+    recompute_probe_ = PlanNode::SemiJoin(
+        spj_plan_,
+        PlanNode::Project(PlanNode::RelationRef(kKeysRef, key_schema_),
+                          rename),
+        ConjoinAll(eqs));
+  }
+
   Table& view = db_->CreateTable(view_name_, view_schema_, view_ids_);
   EvalContext ctx;
   ctx.db = db_;
   view.BulkLoadUncounted(Evaluate(plan_, ctx));
+
+  // Build what an epoch probes now, outside its timed phases: each
+  // occurrence's delta plan (its other leaves' states do not change the
+  // probe columns) and the recompute probe. The view's t-diffs apply
+  // through its primary key.
+  for (const PlanNode* scan : scan_occurrences_) {
+    const Relation affected(db_->GetTable(scan->table_name()).schema());
+    ctx.transient[kAffectedRef] = &affected;
+    bool contains = false;
+    EnsureProbedIndexes(TransformForDelta(spj_plan_, scan, kAffectedRef,
+                                          affected.schema(), {}, &contains),
+                        ctx);
+  }
+  if (root_aggregate_) {
+    const Relation keys(key_schema_);
+    ctx.transient[kKeysRef] = &keys;
+    EnsureProbedIndexes(recompute_probe_, ctx);
+  }
   db_->stats().Reset();
 }
 
@@ -291,7 +331,6 @@ void TupleIvm::RederiveForOccurrence(
   EvalContext ctx;
   ctx.db = db_;
   ctx.pre_state = &pre_state;
-  const std::string ref_name = "__tivm_aff";
 
   if (!two_pass.empty()) {
     Relation aff_pre(table.schema());
@@ -302,15 +341,15 @@ void TupleIvm::RederiveForOccurrence(
     }
     bool contains = false;
     PlanPtr delta_plan =
-        TransformForDelta(spj_plan_, target, ref_name, table.schema(),
+        TransformForDelta(spj_plan_, target, kAffectedRef, table.schema(),
                           pre_occurrences, &contains);
     IDIVM_CHECK(contains, "scan occurrence not found in plan");
-    ctx.transient[ref_name] = &aff_pre;
+    ctx.transient[kAffectedRef] = &aff_pre;
     Relation pre_result = Evaluate(delta_plan, ctx);
     for (Row& row : pre_result.mutable_rows()) {
       out_pre->Append(std::move(row));
     }
-    ctx.transient[ref_name] = &aff_post;
+    ctx.transient[kAffectedRef] = &aff_post;
     Relation post_result = Evaluate(delta_plan, ctx);
     for (Row& row : post_result.mutable_rows()) {
       out_post->Append(std::move(row));
@@ -339,10 +378,10 @@ void TupleIvm::RederiveForOccurrence(
     bool contains = false;
     std::map<std::string, std::string> shadow_map;
     PlanPtr delta_plan = TransformForDelta(
-        spj_plan_, target, ref_name, shadow_schema, pre_occurrences,
+        spj_plan_, target, kAffectedRef, shadow_schema, pre_occurrences,
         &contains, &shadow_attrs, &shadow_map);
     IDIVM_CHECK(contains, "scan occurrence not found in plan");
-    ctx.transient[ref_name] = &aff;
+    ctx.transient[kAffectedRef] = &aff;
     const Relation rows = Evaluate(delta_plan, ctx);
     // Split each row into its post image (plain columns) and pre image
     // (shadow columns substituted where present).
@@ -377,35 +416,10 @@ MaintainResult TupleIvm::Maintain(
       if (scan->table_name() == table_name) mentioned = true;
     }
     if (!mentioned) continue;
-    Relation post = db_->GetTable(table_name).SnapshotUncounted();
-    const std::vector<size_t>& keys = db_->GetTable(table_name).key_indices();
-    std::map<Row, std::optional<Row>, RowLess> adjust;
-    std::vector<Row> re_add;
-    for (const Modification& mod : net) {
-      switch (mod.kind) {
-        case DiffType::kInsert:
-          adjust[ProjectRow(mod.post, keys)] = std::nullopt;
-          break;
-        case DiffType::kUpdate:
-          adjust[ProjectRow(mod.post, keys)] = mod.pre;
-          break;
-        case DiffType::kDelete:
-          re_add.push_back(mod.pre);
-          break;
-      }
-    }
-    Relation pre(post.schema());
-    for (Row& row : post.mutable_rows()) {
-      const auto adj = adjust.find(ProjectRow(row, keys));
-      if (adj == adjust.end()) {
-        pre.Append(std::move(row));
-      } else if (adj->second.has_value()) {
-        pre.Append(*adj->second);
-      }
-    }
-    for (Row& row : re_add) pre.Append(std::move(row));
-    pre_state.emplace(table_name, IndexedRelation(std::move(pre),
-                                                  &db_->stats()));
+    pre_state.emplace(
+        table_name,
+        IndexedRelation(ReconstructPreState(db_->GetTable(table_name), net),
+                        &db_->stats()));
   }
 
   auto timed = [&](PhaseCost* cost, const auto& fn) {
@@ -415,6 +429,12 @@ MaintainResult TupleIvm::Maintain(
     const auto t1 = std::chrono::steady_clock::now();
     cost->accesses += db_->stats() - before;
     cost->seconds += std::chrono::duration<double>(t1 - t0).count();
+  };
+  const auto apply = [&](const DiffInstance& diff) {
+    const ApplyResult applied = ApplyDiff(diff, view);
+    result.diff_tuples_applied += applied.diff_tuples;
+    result.rows_touched += applied.rows_touched;
+    result.dummy_tuples += applied.dummy_tuples;
   };
 
   const std::vector<size_t> spj_id_cols = spj_schema_.ColumnIndices(spj_ids_);
@@ -485,10 +505,7 @@ MaintainResult TupleIvm::Maintain(
         inserts.Append(std::move(diff_row));
       }
       for (const DiffInstance* diff : {&deletes, &updates, &inserts}) {
-        const ApplyResult applied = ApplyDiff(*diff, view);
-        result.diff_tuples_applied += applied.diff_tuples;
-        result.rows_touched += applied.rows_touched;
-        result.dummy_tuples += applied.dummy_tuples;
+        apply(*diff);
       }
     });
   }
@@ -576,43 +593,17 @@ MaintainResult TupleIvm::Maintain(
     }
   }
 
-  timed(&result.view_update, [&] {
-    const ApplyResult applied = ApplyDiff(additive, view);
-    result.diff_tuples_applied += applied.diff_tuples;
-    result.rows_touched += applied.rows_touched;
-    result.dummy_tuples += applied.dummy_tuples;
-  });
+  timed(&result.view_update, [&] { apply(additive); });
 
   if (!recompute_keys.empty()) {
     // Recompute affected groups from base data (no cache for tuple-based).
     Relation recomputed;
     timed(&result.diff_computation, [&] {
-      Schema key_schema;
-      {
-        std::vector<ColumnDef> cols;
-        for (const std::string& g : group_by) {
-          cols.push_back(
-              {g, spj_schema_.column(spj_schema_.ColumnIndex(g)).type});
-        }
-        key_schema = Schema(cols);
-      }
-      Relation key_rel(key_schema);
-      for (const Row& key : recompute_keys) key_rel.Append(key);
-      std::vector<ProjectItem> rename;
-      std::vector<ExprPtr> eqs;
-      for (const std::string& g : group_by) {
-        rename.push_back({Col(g), StrCat("__k_", g)});
-        eqs.push_back(Eq(Col(g), Col(StrCat("__k_", g))));
-      }
-      PlanPtr probe = PlanNode::SemiJoin(
-          spj_plan_,
-          PlanNode::Project(PlanNode::RelationRef("__keys", key_schema),
-                            rename),
-          ConjoinAll(eqs));
+      const Relation key_rel(key_schema_, recompute_keys);
       EvalContext ctx;
       ctx.db = db_;
-      ctx.transient["__keys"] = &key_rel;
-      Relation rows = Evaluate(probe, ctx);
+      ctx.transient[kKeysRef] = &key_rel;
+      Relation rows = Evaluate(recompute_probe_, ctx);
       PlanPtr agg = PlanNode::Aggregate(
           PlanNode::RelationRef("__rows", rows.schema()), group_by, aggs);
       ctx.transient["__rows"] = &rows;
@@ -643,10 +634,7 @@ MaintainResult TupleIvm::Maintain(
         if (still_present.count(key) == 0) deletes.Append(key);
       }
       for (const DiffInstance* diff : {&deletes, &updates, &inserts}) {
-        const ApplyResult applied = ApplyDiff(*diff, view);
-        result.diff_tuples_applied += applied.diff_tuples;
-        result.rows_touched += applied.rows_touched;
-        result.dummy_tuples += applied.dummy_tuples;
+        apply(*diff);
       }
     });
   }

@@ -41,7 +41,8 @@ namespace idivm {
 
 class TupleIvm {
  public:
-  // Creates and materializes the view table `view_name` in `db`.
+  // Creates and materializes the view table `view_name` in `db`, and
+  // builds every index its epochs probe.
   TupleIvm(Database* db, const std::string& view_name, const PlanPtr& plan);
 
   const Schema& view_schema() const { return view_schema_; }
@@ -77,6 +78,10 @@ class TupleIvm {
   Schema spj_schema_;
   std::vector<std::string> spj_ids_;
   std::vector<const PlanNode*> scan_occurrences_;  // of spj_plan_
+  // Root aggregate only: the group-by columns, and the recompute probe —
+  // spj_plan_ semijoined with the affected group keys.
+  Schema key_schema_;
+  PlanPtr recompute_probe_;
 };
 
 }  // namespace idivm

@@ -8,15 +8,6 @@
 
 namespace idivm {
 
-size_t HashRowKey(const Row& row, const std::vector<size_t>& cols) {
-  size_t h = 0xcbf29ce484222325ULL;
-  for (size_t c : cols) {
-    h ^= row[c].Hash();
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 Row ProjectRow(const Row& row, const std::vector<size_t>& cols) {
   Row out;
   out.reserve(cols.size());

@@ -15,9 +15,25 @@ namespace idivm {
 
 using Row = std::vector<Value>;
 
-// Hash of the values of `row` restricted to `cols` (consistent with
-// Value::Compare equality).
-size_t HashRowKey(const Row& row, const std::vector<size_t>& cols);
+// The one key hash, consistent with Value::Compare equality: an FNV-1a
+// fold of value_at(0), ..., value_at(n - 1). Index builds hash a row's key
+// columns (HashRowKey), probes the projected key (HashKey), alike.
+template <typename ValueAt>
+size_t HashValues(size_t n, const ValueAt& value_at) {
+  size_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < n; ++i) {
+    h = (h ^ value_at(i).Hash()) * 0x100000001b3ULL;
+  }
+  return h;
+}
+inline size_t HashRowKey(const Row& row, const std::vector<size_t>& cols) {
+  return HashValues(cols.size(),
+                    [&](size_t i) -> const Value& { return row[cols[i]]; });
+}
+inline size_t HashKey(const Row& key) {
+  return HashValues(key.size(),
+                    [&](size_t i) -> const Value& { return key[i]; });
+}
 
 // Projects `row` onto `cols`.
 Row ProjectRow(const Row& row, const std::vector<size_t>& cols);

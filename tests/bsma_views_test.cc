@@ -49,7 +49,9 @@ TEST_P(BsmaViewTest, IdIvmMaintainsView) {
       << GetParam() << " materialized empty — workload too small?";
   ModificationLogger logger(&db);
   workload.ApplyUserUpdates(&logger, 30);
+  const auto indexes = testing::IndexCounts(db);
   m.Maintain(logger.NetChanges());
+  EXPECT_EQ(testing::IndexCounts(db), indexes) << "the epoch built an index";
   testing::ExpectViewMatchesRecompute(&db, m.view().plan, "v", GetParam());
 }
 
@@ -60,7 +62,9 @@ TEST_P(BsmaViewTest, TupleIvmMaintainsView) {
   TupleIvm tivm(&db, "v", plan);
   ModificationLogger logger(&db);
   workload.ApplyUserUpdates(&logger, 30);
+  const auto indexes = testing::IndexCounts(db);
   tivm.Maintain(logger.NetChanges());
+  EXPECT_EQ(testing::IndexCounts(db), indexes) << "the epoch built an index";
   testing::ExpectViewMatchesRecompute(&db, plan, "v", GetParam());
 }
 

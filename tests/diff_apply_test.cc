@@ -23,6 +23,9 @@ class ApplyTest : public ::testing::Test {
         {{Value("D1"), Value("P1"), Value(10.0)},
          {Value("D2"), Value("P1"), Value(10.0)},
          {Value("D1"), Value("P2"), Value(20.0)}}));
+    // The index the pid-keyed (ID-subset) diffs apply through; a ∆-script
+    // program declares it when it is compiled.
+    view_.EnsureIndex({1});
   }
 
   Database db_;

@@ -73,6 +73,7 @@ TEST(EffectivenessTest, OrderIndependenceOfEffectiveSet) {
         Relation(kView, {{Value("D1"), Value("P1"), Value(10.0)},
                          {Value("D2"), Value("P1"), Value(10.0)},
                          {Value("D1"), Value("P2"), Value(20.0)}}));
+    view.EnsureIndex({1});  // the pid index `u` applies through
     if (update_first) {
       ApplyDiff(u, view);
       ApplyDiff(i, view);

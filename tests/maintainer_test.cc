@@ -112,6 +112,30 @@ TEST_F(MaintainerTest, TwoViewsOverOneDatabase) {
   testing::ExpectViewMatchesRecompute(&db_, agg.view().plan, "vp");
 }
 
+// The maintainer builds every index its program probes when it is built,
+// so an epoch builds none, whichever tables changed and how.
+TEST_F(MaintainerTest, FirstEpochBuildsNoIndex) {
+  Maintainer spj(&db_, CompileView("v", testing::RunningExampleSpjPlan(db_),
+                                   db_));
+  Maintainer agg(&db_, CompileView("vp",
+                                   testing::RunningExampleAggPlan(db_),
+                                   db_));
+  ModificationLogger logger(&db_);
+  EXPECT_TRUE(logger.Update("parts", {Value("P2")}, {"price"}, {Value(25.0)}));
+  EXPECT_TRUE(logger.Insert("parts", {Value("P4"), Value(7.0)}));
+  EXPECT_TRUE(logger.Insert("devices_parts", {Value("D2"), Value("P4")}));
+  EXPECT_TRUE(logger.Delete("devices_parts", {Value("D1"), Value("P1")}));
+  EXPECT_TRUE(logger.Update("devices", {Value("D3")}, {"category"},
+                            {Value("phone")}));
+  const auto before = testing::IndexCounts(db_);
+  const auto net = logger.NetChanges();
+  spj.Maintain(net);
+  agg.Maintain(net);
+  EXPECT_EQ(testing::IndexCounts(db_), before);
+  testing::ExpectViewMatchesRecompute(&db_, spj.view().plan, "v");
+  testing::ExpectViewMatchesRecompute(&db_, agg.view().plan, "vp");
+}
+
 TEST_F(MaintainerTest, NoCacheOptionSkipsCacheTables) {
   CompilerOptions options;
   options.use_caches = false;

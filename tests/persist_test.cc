@@ -442,6 +442,27 @@ TEST_F(RecoveryTest, ReplayRestoresViewsExactly) {
                                       "v");
 }
 
+// Loading the repository builds every index the views' programs probe,
+// including those the replayed batches never reached: the first refresh
+// after recovery builds none.
+TEST_F(RecoveryTest, FirstRefreshAfterRecoverBuildsNoIndex) {
+  RunWorkload("indexes", 1);
+  Database db2;
+  ViewManager vm2(&db2);
+  const RecoverResult result = RecoverInto(&db2, &vm2);
+  ASSERT_TRUE(result.ok) << result.error;
+  const auto before = testing::IndexCounts(db2);
+  vm2.Update("devices", {Value("D3")}, {"category"}, {Value("phone")});
+  vm2.Delete("devices_parts", {Value("D1"), Value("P1")});
+  vm2.Delete("parts", {Value("P3")});
+  vm2.Refresh();
+  EXPECT_EQ(testing::IndexCounts(db2), before);
+  for (const char* view : {"v", "vp"}) {
+    testing::ExpectViewMatchesRecompute(
+        &db2, vm2.GetView(view).view().plan, view);
+  }
+}
+
 TEST_F(RecoveryTest, RecomputeModeMatchesReplay) {
   RunWorkload("recompute", 5);
   Database replayed, recomputed;

@@ -49,6 +49,7 @@ TEST_F(TableTest, LookupByKey) {
 
 TEST_F(TableTest, SecondaryIndexLookup) {
   Fill(9);
+  table_.EnsureIndex({1});
   db_.stats().Reset();
   const std::vector<Row> rows =
       table_.LookupWhereEquals({1}, {Value(int64_t{2})});
@@ -63,6 +64,7 @@ TEST_F(TableTest, DeleteByKeyAndWhereEquals) {
   EXPECT_TRUE(table_.DeleteByKey({Value(int64_t{4})}));
   EXPECT_FALSE(table_.DeleteByKey({Value(int64_t{4})}));
   EXPECT_EQ(table_.size(), 8u);
+  table_.EnsureIndex({1});
   std::vector<Row> deleted;
   const size_t n = table_.DeleteWhereEquals({1}, {Value(int64_t{0})},
                                             &deleted);
@@ -83,7 +85,7 @@ TEST_F(TableTest, SlotReuseAfterDelete) {
 
 TEST_F(TableTest, UpdateMaintainsSecondaryIndexes) {
   Fill(9);
-  table_.EnsureIndex({"grp"});
+  table_.EnsureIndex({1});
   // Move id 0 from group 0 to group 2.
   EXPECT_TRUE(table_.UpdateByKey({Value(int64_t{0})}, {1},
                                  {Value(int64_t{2})}));
@@ -93,13 +95,64 @@ TEST_F(TableTest, UpdateMaintainsSecondaryIndexes) {
 
 TEST_F(TableTest, UpdateWhereEqualsCosts) {
   Fill(9);
+  table_.EnsureIndex({1});
   db_.stats().Reset();
-  const size_t n = table_.UpdateWhereEquals({1}, {Value(int64_t{1})}, {2},
-                                            {Value(99.0)});
+  const std::vector<size_t> set_columns = {2};
+  const size_t n = table_.UpdateRowsWhereEquals(
+      {1}, {Value(int64_t{1})}, [](Row& row) { row[2] = Value(99.0); },
+      nullptr, nullptr, &set_columns);
   EXPECT_EQ(n, 3u);
   // 1 lookup + 1 write per touched row (paper's UPDATE model).
   EXPECT_EQ(db_.stats().index_lookups, 1);
   EXPECT_EQ(db_.stats().tuple_writes, 3);
+  EXPECT_EQ(db_.stats().tuple_reads, 0);
+}
+
+// Every index is built by EnsureIndex: a probe on a column set without
+// one dies naming the table and the columns instead of building it.
+TEST_F(TableTest, ProbeOnUnindexedColumnsDies) {
+  Fill(3);
+  EXPECT_EQ(table_.index_count(), 1u);
+  EXPECT_DEATH(table_.LookupWhereEquals({1}, {Value(int64_t{0})}),
+               "table t has no index on \\(grp\\)");
+  EXPECT_DEATH(
+      table_.DeleteWhereEquals({1, 2}, {Value(int64_t{0}), Value(0.0)}),
+      "table t has no index on \\(grp, val\\)");
+  EXPECT_DEATH(table_.UpdateRowsWhereEquals({2}, {Value(0.0)}, [](Row&) {}),
+               "table t has no index on \\(val\\)");
+  EXPECT_EQ(table_.index_count(), 1u);
+  // The primary key needs no declaration; a declared index is built once
+  // and covers rows inserted later.
+  EXPECT_EQ(table_.LookupWhereEquals({0}, {Value(int64_t{1})}).size(), 1u);
+  table_.EnsureIndex({1});
+  table_.EnsureIndex({1});
+  table_.EnsureIndex({0});
+  EXPECT_EQ(table_.index_count(), 2u);
+  ASSERT_TRUE(table_.Insert({Value(int64_t{9}), Value(int64_t{0}),
+                             Value(9.0)}));
+  EXPECT_EQ(table_.LookupWhereEquals({1}, {Value(int64_t{0})}).size(), 2u);
+}
+
+// A by-key update re-indexes only the indexes on columns it sets.
+TEST_F(TableTest, UpdateByKeyKeepsUnsetIndexesInPlace) {
+  Fill(6);
+  table_.EnsureIndex({1});
+  table_.EnsureIndex({2});
+  // Set val of id 0 (grp 0): the grp chain keeps id 0 first.
+  ASSERT_TRUE(table_.UpdateByKey({Value(int64_t{0})}, {2}, {Value(50.0)}));
+  std::vector<Row> grp0 = table_.LookupWhereEquals({1}, {Value(int64_t{0})});
+  ASSERT_EQ(grp0.size(), 2u);
+  EXPECT_EQ(grp0[0][0].AsInt64(), 0);
+  EXPECT_EQ(table_.LookupWhereEquals({2}, {Value(50.0)}).size(), 1u);
+  EXPECT_TRUE(table_.LookupWhereEquals({2}, {Value(0.0)}).empty());
+  // Charges: one lookup and one write, as for any by-key write.
+  db_.stats().Reset();
+  ASSERT_TRUE(table_.UpdateByKey({Value(int64_t{1})}, {2}, {Value(51.0)}));
+  ASSERT_TRUE(table_.DeleteByKey({Value(int64_t{2})}));
+  EXPECT_FALSE(table_.DeleteByKey({Value(int64_t{2})}));
+  EXPECT_FALSE(table_.UpdateByKey({Value(int64_t{2})}, {2}, {Value(1.0)}));
+  EXPECT_EQ(db_.stats().index_lookups, 4);
+  EXPECT_EQ(db_.stats().tuple_writes, 2);
   EXPECT_EQ(db_.stats().tuple_reads, 0);
 }
 

@@ -4,6 +4,7 @@
 #ifndef IDIVM_TESTS_TEST_UTIL_H_
 #define IDIVM_TESTS_TEST_UTIL_H_
 
+#include <map>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -89,6 +90,16 @@ inline void ExpectViewMatchesRecompute(Database* db, const PlanPtr& plan,
       << context << "\nexpected (recomputed):\n"
       << expected.Sorted().ToString() << "\nactual (maintained):\n"
       << actual.Sorted().ToString();
+}
+
+// Every table's hash-index count, by table name: equal before and after
+// an epoch when the epoch built no index.
+inline std::map<std::string, size_t> IndexCounts(const Database& db) {
+  std::map<std::string, size_t> out;
+  for (const std::string& name : db.TableNames()) {
+    out[name] = db.GetTable(name).index_count();
+  }
+  return out;
 }
 
 // `view` damaged as a loaded repository can carry it: its first

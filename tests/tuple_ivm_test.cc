@@ -39,6 +39,30 @@ TEST(TupleIvmTest, SpjInsertDeleteUpdateMix) {
   ExpectViewMatchesRecompute(&db, RunningExampleSpjPlan(db), "v");
 }
 
+// The constructor builds every index an epoch probes — through the delta
+// plans, the recompute probe and the view's diff key — so no epoch builds
+// one.
+TEST(TupleIvmTest, FirstEpochBuildsNoIndex) {
+  Database db;
+  LoadRunningExample(&db);
+  TupleIvm spj(&db, "v", RunningExampleSpjPlan(db));
+  TupleIvm agg(&db, "vp", RunningExampleAggPlan(db));
+  ModificationLogger logger(&db);
+  EXPECT_TRUE(logger.Update("parts", {Value("P2")}, {"price"}, {Value(25.0)}));
+  EXPECT_TRUE(logger.Insert("parts", {Value("P4"), Value(7.0)}));
+  EXPECT_TRUE(logger.Insert("devices_parts", {Value("D2"), Value("P4")}));
+  EXPECT_TRUE(logger.Delete("devices_parts", {Value("D1"), Value("P1")}));
+  EXPECT_TRUE(logger.Update("devices", {Value("D3")}, {"category"},
+                            {Value("phone")}));
+  const auto before = ::idivm::testing::IndexCounts(db);
+  const auto net = logger.NetChanges();
+  spj.Maintain(net);
+  agg.Maintain(net);
+  EXPECT_EQ(::idivm::testing::IndexCounts(db), before);
+  ExpectViewMatchesRecompute(&db, RunningExampleSpjPlan(db), "v");
+  ExpectViewMatchesRecompute(&db, RunningExampleAggPlan(db), "vp");
+}
+
 TEST(TupleIvmTest, AggregateAdditivePath) {
   Database db;
   LoadRunningExample(&db);
