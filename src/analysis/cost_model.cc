@@ -14,7 +14,8 @@ std::string FormatModelRow(const std::string& label, double predicted,
   const double err = predicted == 0
                          ? 0
                          : (measured - predicted) / predicted * 100.0;
-  std::snprintf(buf, sizeof(buf), "%-28s predicted %12.1f  measured %12.1f  (%+.1f%%)",
+  std::snprintf(buf, sizeof(buf),
+                "%-28s predicted %12.1f  measured %12.1f  (%+.1f%%)",
                 label.c_str(), predicted, measured, err);
   return buf;
 }

@@ -223,7 +223,9 @@ Value EvalLogic(LogicOp op, const std::vector<Value>& args) {
     case LogicOp::kOr: {
       const Truth a = ToTruth(args[0]);
       const Truth b = ToTruth(args[1]);
-      if (a == Truth::kTrue || b == Truth::kTrue) return FromTruth(Truth::kTrue);
+      if (a == Truth::kTrue || b == Truth::kTrue) {
+        return FromTruth(Truth::kTrue);
+      }
       if (a == Truth::kUnknown || b == Truth::kUnknown) return Value::Null();
       return FromTruth(Truth::kFalse);
     }

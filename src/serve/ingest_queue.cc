@@ -116,29 +116,31 @@ bool IngestQueue::Submit(IngestOp op) {
   return true;
 }
 
-size_t IngestQueue::WaitAndDrain(std::vector<IngestOp>* out,
-                                 double timeout_seconds) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (pending_.empty() && !closed_) {
-    not_empty_.wait_for(
-        lock,
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(timeout_seconds)),
-        [&] { return closed_ || !pending_.empty(); });
-  }
-  if (pending_.empty()) return 0;
-  const size_t drained = pending_.size();
-  if (out->empty()) {
-    *out = std::move(pending_);
-    pending_.clear();
-  } else {
-    out->insert(out->end(), std::make_move_iterator(pending_.begin()),
-                std::make_move_iterator(pending_.end()));
-    pending_.clear();
-  }
+std::vector<IngestOp> IngestQueue::Drain() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<IngestOp> drained = std::move(pending_);
+  pending_.clear();
   obs::GlobalGauge("idivm_ingest_queue_depth").Set(0);
   not_full_.notify_all();
   return drained;
+}
+
+bool IngestQueue::WaitUntil(std::chrono::steady_clock::time_point due) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto ready = [&] { return closed_ || woken_ || !pending_.empty(); };
+  if (due == std::chrono::steady_clock::time_point::max()) {
+    not_empty_.wait(lock, ready);
+  } else {
+    not_empty_.wait_until(lock, due, ready);
+  }
+  woken_ = false;
+  return !closed_;
+}
+
+void IngestQueue::Wake() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  woken_ = true;
+  not_empty_.notify_all();
 }
 
 void IngestQueue::Close() {
@@ -146,11 +148,6 @@ void IngestQueue::Close() {
   closed_ = true;
   not_full_.notify_all();
   not_empty_.notify_all();
-}
-
-bool IngestQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
 }
 
 size_t IngestQueue::depth() const {

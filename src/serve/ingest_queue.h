@@ -1,11 +1,11 @@
 // The service's front door: a bounded, thread-safe queue of base-table
-// modifications waiting to be applied by the MaintenanceService pump
-// thread. Producers (request handlers, the streaming bench) only ever
-// touch the queue; the engine underneath — ViewManager, WAL, tables — is
-// single-writer, owned by the pump. The bound is the backpressure point,
-// with three policies for what a full queue does to a producer:
+// modifications waiting to be applied by a MaintenanceService step.
+// Producers (request handlers, the streaming bench) only ever touch the
+// queue; the engine underneath — ViewManager, WAL, tables — and the drain
+// belong to the holder of the service's engine lock. The bound is the
+// backpressure point, with three policies for what a full queue does:
 //
-//   block     producer waits until the pump drains space (lossless,
+//   block     producer waits until a step drains space (lossless,
 //             transfers the stall upstream);
 //   shed      the op is dropped and counted in idivm_ingest_shed_total
 //             (lossy, keeps producers real-time);
@@ -62,7 +62,7 @@ struct IngestQueueOptions {
 };
 
 // Bounded MPSC modification queue between producer threads and the
-// service's pump thread, implementing the three backpressure policies
+// service's steps, implementing the three backpressure policies
 // (block / shed / coalesce) and the queue-depth / staleness metrics.
 class IngestQueue {
  public:
@@ -76,16 +76,19 @@ class IngestQueue {
   // coalesced into a pending op.
   bool Submit(IngestOp op);
 
-  // Consumer side: moves every pending op into `out` (appending) and
-  // returns how many. Waits up to `timeout_seconds` for the queue to be
-  // non-empty; returns 0 on timeout or when closed and empty.
-  size_t WaitAndDrain(std::vector<IngestOp>* out, double timeout_seconds);
+  // Consumer side: takes every pending op, in submission order.
+  std::vector<IngestOp> Drain();
+  // Consumer side: blocks, without draining, until an op is pending, the
+  // queue is closed or woken, or `due` arrives (max(): no deadline).
+  // Returns false once the queue is closed.
+  bool WaitUntil(std::chrono::steady_clock::time_point due);
+  // Wakes the current or the next WaitUntil.
+  void Wake();
 
-  // Closes the queue: blocked producers wake and fail, later Submits
-  // return false. Pending ops stay drainable.
+  // Closes the queue: blocked producers fail, WaitUntil returns false and
+  // later Submits return false. Pending ops stay drainable.
   void Close();
 
-  bool closed() const;
   size_t depth() const;
 
   // Lifetime totals (also exported as idivm_ingest_* counters).
@@ -104,6 +107,7 @@ class IngestQueue {
   std::condition_variable not_empty_;
   std::vector<IngestOp> pending_;
   bool closed_ = false;
+  bool woken_ = false;
   uint64_t accepted_ = 0;
   uint64_t shed_ = 0;
   uint64_t coalesced_ = 0;

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/str_util.h"
@@ -13,11 +14,7 @@ namespace idivm::serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point then) {
-  return std::chrono::duration<double>(Clock::now() - then).count();
-}
+using Clock = MaintenanceService::Clock;
 
 Clock::duration FromSeconds(double seconds) {
   return std::chrono::duration_cast<Clock::duration>(
@@ -55,9 +52,9 @@ MaintenanceService::MaintenanceService(ViewManager* vm, Database* db,
 
 MaintenanceService::~MaintenanceService() { Stop(); }
 
-bool MaintenanceService::Start(std::string* error) {
-  if (running_.load()) {
-    if (error != nullptr) *error = "service already running";
+bool MaintenanceService::Open(std::string* error) {
+  if (state_.load() != State::kNew) {
+    if (error != nullptr) *error = "service already opened or stopped";
     return false;
   }
   // Register the contract-v4 metric set eagerly so every series exists
@@ -92,8 +89,6 @@ bool MaintenanceService::Start(std::string* error) {
       return false;
     }
     vm_->set_journal(wal_.get());
-    records_at_snapshot_ =
-        obs::GlobalCounter("idivm_wal_records_total").value();
     // Bootstrap checkpoint: a data dir without a snapshot cannot Recover,
     // so cover the current (initial or resumed) state before serving.
     const std::string snapshot = StrCat(options_.data_dir, "/snapshot.bin");
@@ -111,11 +106,15 @@ bool MaintenanceService::Start(std::string* error) {
       }
       wal_->JournalCheckpoint(wal_->last_lsn(), snapshot);
     }
+    checkpoint_lsn_ = wal_->last_lsn();
   }
-  stop_.store(false);
-  crash_.store(false);
-  running_.store(true);
   UpdateHealth();
+  state_.store(State::kOpen);
+  return true;
+}
+
+bool MaintenanceService::Start(std::string* error) {
+  if (!Open(error)) return false;
   pump_ = std::thread([this] { PumpLoop(); });
   if (!options_.export_path.empty() &&
       options_.export_interval_seconds > 0) {
@@ -124,32 +123,34 @@ bool MaintenanceService::Start(std::string* error) {
   return true;
 }
 
-void MaintenanceService::Stop() {
-  if (!running_.exchange(false)) return;
+void MaintenanceService::Stop() { Shutdown(/*crash=*/false); }
+
+void MaintenanceService::Crash() { Shutdown(/*crash=*/true); }
+
+void MaintenanceService::Shutdown(bool crash) {
+  if (state_.exchange(State::kStopped) != State::kOpen) return;
   queue_.Close();
-  stop_.store(true);
+  if (pump_.joinable()) pump_.join();
+  {
+    std::lock_guard<std::mutex> lock(engine_mutex_);
+    if (!crash) StepLocked(Clock::now(), /*force_refresh=*/true);
+    if (wal_ != nullptr) {
+      if (!crash) wal_->Sync();
+      stats_.wal_bytes = wal_->TotalBytes();  // final size outlives the WAL
+      vm_->set_journal(nullptr);
+      wal_.reset();
+    }
+  }
   {
     std::lock_guard<std::mutex> lock(export_mutex_);
-    export_cv_.notify_all();
+    export_stop_ = true;
   }
-  if (pump_.joinable()) pump_.join();
+  export_cv_.notify_all();
   if (exporter_.joinable()) exporter_.join();
-  std::lock_guard<std::mutex> lock(engine_mutex_);
-  if (wal_ != nullptr) {
-    if (!crash_.load()) wal_->Sync();
-    stats_.wal_bytes = wal_->TotalBytes();  // final size outlives the WAL
-    vm_->set_journal(nullptr);
-    wal_.reset();
-  }
-}
-
-void MaintenanceService::Crash() {
-  crash_.store(true);
-  Stop();
 }
 
 bool MaintenanceService::SubmitInsert(const std::string& table, Row row) {
-  if (!running_.load()) return false;
+  if (!running()) return false;
   IngestOp op;
   op.kind = DiffType::kInsert;
   op.table = table;
@@ -158,7 +159,7 @@ bool MaintenanceService::SubmitInsert(const std::string& table, Row row) {
 }
 
 bool MaintenanceService::SubmitDelete(const std::string& table, Row key) {
-  if (!running_.load()) return false;
+  if (!running()) return false;
   IngestOp op;
   op.kind = DiffType::kDelete;
   op.table = table;
@@ -169,7 +170,7 @@ bool MaintenanceService::SubmitDelete(const std::string& table, Row key) {
 bool MaintenanceService::SubmitUpdate(const std::string& table, Row key,
                                       std::vector<std::string> set_columns,
                                       Row values) {
-  if (!running_.load()) return false;
+  if (!running()) return false;
   IngestOp op;
   op.kind = DiffType::kUpdate;
   op.table = table;
@@ -179,26 +180,30 @@ bool MaintenanceService::SubmitUpdate(const std::string& table, Row key,
   return queue_.Submit(std::move(op));
 }
 
+Clock::time_point MaintenanceService::Step(Clock::time_point now) {
+  std::lock_guard<std::mutex> lock(engine_mutex_);
+  return StepLocked(now, /*force_refresh=*/false);
+}
+
 bool MaintenanceService::WaitForQuiesce(double timeout_seconds) {
-  const auto deadline = Clock::now() + FromSeconds(timeout_seconds);
-  while (true) {
-    force_refresh_.store(true);
-    {
-      // Never hold quiesce_mutex_ and engine_mutex_ together here: the
-      // pump acquires them engine-first.
-      std::unique_lock<std::mutex> lock(quiesce_mutex_);
-      const uint64_t generation = refreshed_generation_;
-      quiesce_cv_.wait_until(lock, deadline, [&] {
-        return refreshed_generation_ != generation || !running_.load();
-      });
+  const Clock::time_point deadline =
+      Clock::now() + FromSeconds(timeout_seconds);
+  bool quiet = false;
+  {
+    std::lock_guard<std::mutex> lock(engine_mutex_);
+    // A stopped service's engine belongs to its caller again.
+    if (state_.load() != State::kOpen) {
+      return queue_.depth() == 0 && pending_stamps_.empty();
     }
-    if (!running_.load()) return queue_.depth() == 0;
-    {
-      std::lock_guard<std::mutex> engine(engine_mutex_);
-      if (queue_.depth() == 0 && pending_stamps_.empty()) return true;
-    }
-    if (Clock::now() >= deadline) return false;
+    do {
+      StepLocked(Clock::now(), /*force_refresh=*/true);
+      quiet = queue_.depth() == 0 && pending_stamps_.empty();
+    } while (!quiet && Clock::now() < deadline);
   }
+  // These steps may have scheduled a repair or a snapshot retry the pump
+  // has not seen; wake it to re-read the due time.
+  queue_.Wake();
+  return quiet;
 }
 
 ServiceHealth MaintenanceService::health() const {
@@ -213,15 +218,17 @@ ServiceStats MaintenanceService::stats() const {
   return stats;
 }
 
-bool MaintenanceService::running() const { return running_.load(); }
+bool MaintenanceService::running() const {
+  return state_.load() == State::kOpen;
+}
 
 std::vector<double> MaintenanceService::StalenessSamples() const {
   std::lock_guard<std::mutex> lock(engine_mutex_);
   return staleness_samples_;
 }
 
-void MaintenanceService::ApplyOps(std::vector<IngestOp>* ops) {
-  for (IngestOp& op : *ops) {
+void MaintenanceService::ApplyOps(std::vector<IngestOp> ops) {
+  for (IngestOp& op : ops) {
     bool accepted = false;
     switch (op.kind) {
       case DiffType::kInsert:
@@ -242,10 +249,37 @@ void MaintenanceService::ApplyOps(std::vector<IngestOp>* ops) {
       obs::GlobalCounter("idivm_ingest_rejected_total").Increment();
     }
   }
-  ops->clear();
 }
 
-void MaintenanceService::RunRefresh() {
+Clock::time_point MaintenanceService::StepLocked(Clock::time_point now,
+                                                 bool force_refresh) {
+  const Clock::time_point step_started = Clock::now();
+  if (!last_refresh_end_.has_value()) last_refresh_end_ = now;
+  ApplyOps(queue_.Drain());
+  if (!pending_stamps_.empty() &&
+      (force_refresh ||
+       pending_stamps_.size() >= options_.refresh_pending_threshold ||
+       now >= RefreshDueAt())) {
+    RunRefresh(now, step_started);
+  }
+  RunRepairs(now);
+  RunHousekeeping(now);
+  UpdateHealth();
+
+  Clock::time_point due = RefreshDueAt();
+  if (!needs_repair_.empty()) due = std::min(due, next_repair_);
+  if (next_snapshot_retry_ > now) due = std::min(due, next_snapshot_retry_);
+  return due;
+}
+
+Clock::time_point MaintenanceService::RefreshDueAt() const {
+  if (pending_stamps_.empty()) return Clock::time_point::max();
+  return std::min(pending_stamps_.front(), *last_refresh_end_) +
+         FromSeconds(options_.refresh_interval_seconds);
+}
+
+void MaintenanceService::RunRefresh(Clock::time_point now,
+                                    Clock::time_point step_started) {
   if (options_.deadline_seconds > 0) {
     deadline_.Arm(options_.deadline_seconds);
   }
@@ -263,13 +297,15 @@ void MaintenanceService::RunRefresh() {
 
   // The modification log is consumed even on failure: base changes are
   // committed, so the pending ops became visible (or their view is headed
-  // for repair). Either way the staleness clock for this batch stops now.
-  const auto now = Clock::now();
+  // for repair). Either way the staleness clock for this batch stops when
+  // the refresh ends.
+  const Clock::time_point end = now + (Clock::now() - step_started);
+  last_refresh_end_ = end;
   constexpr size_t kMaxStalenessSamples = 1 << 17;
   auto& staleness = obs::GlobalHistogram("idivm_staleness_seconds");
   for (const auto stamp : pending_stamps_) {
     const double seconds =
-        std::chrono::duration<double>(now - stamp).count();
+        std::chrono::duration<double>(end - stamp).count();
     staleness.Observe(seconds);
     if (staleness_samples_.size() < kMaxStalenessSamples) {
       staleness_samples_.push_back(seconds);
@@ -287,58 +323,47 @@ void MaintenanceService::RunRefresh() {
   for (const std::string& view : vm_->QuarantinedViews()) {
     needs_repair_.insert(view);
   }
-  if (!status.ok()) {
-    ++stats_.refresh_failures;
-    // Under kFailFast/kRetry the failed views rolled back without being
-    // quarantined; the incident list already queued them for repair.
-  }
+  // Under kFailFast/kRetry the failed views rolled back without being
+  // quarantined; the incident list already queued them for repair.
+  if (!status.ok()) ++stats_.refresh_failures;
   if (!needs_repair_.empty() && repair_backoff_.attempts() == 0) {
     next_repair_ = now + FromSeconds(repair_backoff_.NextDelaySeconds());
   }
   if (wal_ != nullptr) stats_.last_commit_lsn = wal_->last_lsn();
-
-  {
-    std::lock_guard<std::mutex> lock(quiesce_mutex_);
-    ++refreshed_generation_;
-  }
-  quiesce_cv_.notify_all();
 }
 
-void MaintenanceService::RunRepairs() {
-  if (needs_repair_.empty()) {
-    repair_backoff_.Reset();
-    return;
-  }
-  if (Clock::now() < next_repair_) return;
+void MaintenanceService::RunRepairs(Clock::time_point now) {
+  if (needs_repair_.empty() || now < next_repair_) return;
   const std::string view = *needs_repair_.begin();
   needs_repair_.erase(needs_repair_.begin());
   vm_->RepairView(view);
   ++stats_.repairs;
   obs::GlobalCounter("idivm_refresh_retries_total").Increment();
-  if (!needs_repair_.empty()) {
-    next_repair_ =
-        Clock::now() + FromSeconds(repair_backoff_.NextDelaySeconds());
-  } else {
+  // The set only shrinks here, so the schedule restarts exactly when the
+  // last pending repair is done.
+  if (needs_repair_.empty()) {
     repair_backoff_.Reset();
+  } else {
+    next_repair_ = now + FromSeconds(repair_backoff_.NextDelaySeconds());
   }
 }
 
-void MaintenanceService::RunHousekeeping(bool force) {
+void MaintenanceService::RunHousekeeping(Clock::time_point now) {
   if (wal_ == nullptr) return;
-  if (Clock::now() < next_snapshot_retry_) return;
+  if (now < next_snapshot_retry_) return;
   // Snapshots cover exactly the WAL prefix already applied, so only
   // snapshot when nothing is pending in the modification log.
   if (!pending_stamps_.empty() || vm_->PendingModifications() > 0) return;
 
-  const int64_t records =
-      obs::GlobalCounter("idivm_wal_records_total").value();
-  const bool record_trigger =
-      options_.snapshot_every_records > 0 &&
-      records - records_at_snapshot_ >= options_.snapshot_every_records;
+  // Records this service journaled since its last checkpoint.
+  const auto records =
+      static_cast<int64_t>(wal_->last_lsn() - checkpoint_lsn_);
+  const bool record_trigger = options_.snapshot_every_records > 0 &&
+                              records >= options_.snapshot_every_records;
   const bool byte_trigger = options_.snapshot_every_bytes > 0 &&
                             wal_->TotalBytes() >=
                                 options_.snapshot_every_bytes;
-  if (!force && !record_trigger && !byte_trigger) return;
+  if (!record_trigger && !byte_trigger) return;
   if (stats_.refreshes == 0 && wal_->last_lsn() == 0) return;
 
   const uint64_t snapshot_lsn = wal_->last_lsn();
@@ -351,16 +376,14 @@ void MaintenanceService::RunHousekeeping(bool force) {
     // Existing segments are untouched: recovery still has snapshot + full
     // WAL. Retry on the snapshot backoff.
     next_snapshot_retry_ =
-        Clock::now() + FromSeconds(snapshot_backoff_.NextDelaySeconds());
+        now + FromSeconds(snapshot_backoff_.NextDelaySeconds());
     return;
   }
   snapshot_backoff_.Reset();
   next_snapshot_retry_ = {};
-  wal_->JournalCheckpoint(snapshot_lsn, path);
+  checkpoint_lsn_ = wal_->JournalCheckpoint(snapshot_lsn, path);
   wal_->Rotate();
   wal_->TruncateBefore(snapshot_lsn);
-  records_at_snapshot_ =
-      obs::GlobalCounter("idivm_wal_records_total").value();
   ++stats_.snapshots;
   obs::GlobalCounter("idivm_snapshots_total").Increment();
 }
@@ -378,59 +401,26 @@ void MaintenanceService::UpdateHealth() {
 }
 
 void MaintenanceService::PumpLoop() {
-  std::vector<IngestOp> ops;
-  auto last_refresh = Clock::now();
-  while (true) {
-    const bool stopping = stop_.load();
-    queue_.WaitAndDrain(&ops, stopping ? 0.0 : options_.poll_seconds);
-    if (crash_.load()) return;  // abandon everything in flight
-
+  // The lock is released at the end of each iteration, before the wait;
+  // once the queue is closed, Stop takes the last step.
+  Clock::time_point due;
+  do {
     std::lock_guard<std::mutex> lock(engine_mutex_);
-    if (!ops.empty()) ApplyOps(&ops);
-
-    const size_t pending = pending_stamps_.size();
-    bool refresh = pending >= options_.refresh_pending_threshold;
-    if (!refresh && pending > 0) {
-      refresh = SecondsSince(pending_stamps_.front()) >=
-                    options_.refresh_interval_seconds ||
-                SecondsSince(last_refresh) >=
-                    options_.refresh_interval_seconds;
-    }
-    if (force_refresh_.exchange(false) && pending > 0) refresh = true;
-    if (stopping && pending > 0) refresh = true;
-    if (refresh) {
-      RunRefresh();
-      last_refresh = Clock::now();
-    }
-    RunRepairs();
-    RunHousekeeping(/*force=*/false);
-    UpdateHealth();
-
-    if (stopping && queue_.depth() == 0 && pending_stamps_.empty()) {
-      // Final housekeeping pass so a clean shutdown leaves a snapshot
-      // only when one was already due; then signal any waiters.
-      {
-        std::lock_guard<std::mutex> quiesce(quiesce_mutex_);
-        ++refreshed_generation_;
-      }
-      quiesce_cv_.notify_all();
-      return;
-    }
-  }
+    due = StepLocked(Clock::now(), /*force_refresh=*/false);
+  } while (queue_.WaitUntil(due));
 }
 
 void MaintenanceService::ExportLoop() {
   std::unique_lock<std::mutex> lock(export_mutex_);
-  while (!stop_.load()) {
+  while (true) {
     obs::WritePrometheus(obs::MetricsRegistry::Global().Snapshot(),
                          options_.export_path);
+    // Stopped: that write followed the final refresh.
+    if (export_stop_) return;
     export_cv_.wait_for(lock,
                         FromSeconds(options_.export_interval_seconds),
-                        [&] { return stop_.load(); });
+                        [&] { return export_stop_; });
   }
-  // One final export so the file reflects shutdown-time values.
-  obs::WritePrometheus(obs::MetricsRegistry::Global().Snapshot(),
-                       options_.export_path);
 }
 
 }  // namespace idivm::serve

@@ -1,30 +1,26 @@
 // The maintenance service: the piece that turns the library engine into a
-// long-running process (DESIGN.md "Service model & housekeeping"). One
-// pump thread owns the engine and loops
+// long-running process (DESIGN.md "Service model & housekeeping"). Every
+// decision is one step, Step(now), run under the engine lock:
 //
 //   drain ingest queue -> apply modifications (journaled to a segmented
-//   WAL) -> refresh when stale -> pace repairs -> adaptive housekeeping
+//   WAL) -> refresh when due -> pace repairs -> housekeeping -> health
 //
-// while producers feed the bounded IngestQueue from any thread and an
-// optional exporter thread publishes Prometheus text at an interval. The
-// moving parts:
+// It decides from the service's state and the time it is given, and
+// returns when the next trigger falls due. The pump thread, WaitForQuiesce
+// and Stop all run this step; producers feed the bounded IngestQueue from
+// any thread, and an optional exporter thread publishes Prometheus text.
 //
-//   refresh scheduler   TryRefresh when pending modifications pass a
-//                       threshold or the oldest pending op passes the
-//                       interval; each refresh runs under a cooperative
-//                       watchdog Deadline that trips the degradation
-//                       ladder instead of hanging the pump.
+//   refresh scheduler   TryRefresh on a pending-count threshold, or an
+//                       interval after the oldest pending op or the last
+//                       refresh's end; a cooperative watchdog Deadline
+//                       trips the degradation ladder instead of hanging.
 //   repair pacing       views the ladder left unserviced (quarantined or
 //                       rolled back) are rematerialized one per attempt,
-//                       paced by robust::Backoff — transient faults get
-//                       exponentially rarer retries instead of a hot loop.
-//   housekeeping        when the WAL grows past a record- or byte-delta
-//                       since the last snapshot, the pump snapshots the
-//                       database, journals a CHECKPOINT, rotates the
-//                       active segment and truncates segments the snapshot
-//                       covers — bounding disk to roughly one rotation
-//                       plus the delta. Snapshot failures retry on their
-//                       own Backoff and never touch existing segments.
+//                       paced by robust::Backoff.
+//   housekeeping        past a record delta since the service's last WAL
+//                       checkpoint, or a WAL byte size: snapshot,
+//                       CHECKPOINT, rotate, truncate what it covers;
+//                       failures retry on their own Backoff.
 //   health              healthy / degraded (incidents pending repair) /
 //                       quarantined (a view is out of service), exported
 //                       as the idivm_service_health gauge.
@@ -38,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -65,10 +62,8 @@ struct ServiceOptions {
   // ---- Refresh scheduling ----
   // Refresh once this many modifications are pending...
   size_t refresh_pending_threshold = 64;
-  // ...or once any modification has been pending this long.
+  // ...or this long after the oldest pending op or the last refresh's end.
   double refresh_interval_seconds = 0.050;
-  // Pump wakeup granularity when idle.
-  double poll_seconds = 0.005;
 
   // ---- Refresh execution (RefreshOptions) ----
   int threads = 1;
@@ -87,8 +82,8 @@ struct ServiceOptions {
   // no journal, no snapshots.
   std::string data_dir;
   persist::SegmentedWalOptions wal;
-  // Snapshot once this many WAL records accumulated since the last one
-  // (0 disables the record trigger)...
+  // Snapshot once the service's WAL holds this many records past its last
+  // checkpoint (0 disables the record trigger)...
   int64_t snapshot_every_records = 4096;
   // ...or once live WAL bytes (all segments) pass this (0 disables).
   uint64_t snapshot_every_bytes = 4u << 20;
@@ -120,42 +115,52 @@ struct ServiceStats {
 
 // The long-running process wrapper. Not copyable; Stop() (or destruction)
 // joins the threads. The ViewManager and Database must outlive the
-// service and, between Start and Stop/Crash, must not be touched by any
-// other thread — the pump owns them.
+// service and, between Open/Start and Stop/Crash, must not be touched by
+// any other thread — the holder of the engine lock owns them.
 class MaintenanceService {
  public:
+  using Clock = std::chrono::steady_clock;
+
   MaintenanceService(ViewManager* vm, Database* db,
                      const ServiceOptions& options);
   ~MaintenanceService();
   MaintenanceService(const MaintenanceService&) = delete;
   MaintenanceService& operator=(const MaintenanceService&) = delete;
 
-  // Opens (or resumes) the WAL directory, attaches it as the journal and
-  // starts the pump (and exporter, when configured). To resume a prior
-  // incarnation's state, run persist::Recover over the same data_dir
-  // first — Start appends where the recovered WAL ends. Returns false
-  // with `error` set when the data directory is unusable.
+  // Opens the service without a thread: registers the contract-v4
+  // metrics, opens (or resumes) the WAL directory as the journal and
+  // writes the bootstrap snapshot when the data directory has none. To
+  // resume a prior incarnation, run persist::Recover over the same
+  // data_dir first. A service opens once: false with `error` set when the
+  // data directory is unusable or the service was opened or stopped.
+  bool Open(std::string* error);
+
+  // Open, then start the pump thread (and the exporter, when configured).
   bool Start(std::string* error);
 
-  // Graceful shutdown: closes the queue, drains it, runs a final refresh
-  // (and snapshot, when due), syncs and detaches the WAL, joins threads.
-  // Idempotent.
+  // Graceful shutdown: closes the queue, joins the pump, runs a final
+  // forced step, syncs and detaches the WAL, then stops the exporter so
+  // its last write follows the final refresh. Idempotent.
   void Stop();
 
-  // Chaos shutdown: abandons queued ops and skips the final refresh,
-  // snapshot and sync, leaving the on-disk state as a kill signal would
-  // (modulo OS buffers — tests tear the WAL tail with persist::FaultFile
-  // on top). Idempotent with Stop.
+  // Chaos shutdown: Stop without the final step and the sync, abandoning
+  // queued ops as a kill signal would. Idempotent with Stop.
   void Crash();
 
-  // Producer side (any thread). False: shed, or service not running.
+  // Producer side (any thread). False: shed, or service not open.
   bool SubmitInsert(const std::string& table, Row row);
   bool SubmitDelete(const std::string& table, Row key);
   bool SubmitUpdate(const std::string& table, Row key,
                     std::vector<std::string> set_columns, Row values);
 
-  // Blocks until every op submitted so far is applied *and* refreshed
-  // into the views (or the deadline passes). Test/bench synchronization.
+  // One pump iteration under the engine lock, for a service opened
+  // without the pump. Returns when the next trigger falls due
+  // (time_point::max() when none is armed).
+  Clock::time_point Step(Clock::time_point now);
+
+  // Runs forced steps until every op submitted so far is applied *and*
+  // refreshed (true) or the timeout passes (false), then wakes the pump
+  // to re-read the due time. Test/bench synchronization.
   bool WaitForQuiesce(double timeout_seconds);
 
   ServiceHealth health() const;
@@ -165,24 +170,31 @@ class MaintenanceService {
   // bench's percentile source (the idivm_staleness_seconds histogram's
   // power-of-4 buckets are too coarse for sub-second p99s).
   std::vector<double> StalenessSamples() const;
+  // Open and not yet stopped: Submit* accept ops.
   bool running() const;
   IngestQueue& queue() { return queue_; }
   persist::SegmentedWal* wal() { return wal_.get(); }
 
  private:
+  enum class State { kNew, kOpen, kStopped };
+
+  void Shutdown(bool crash);
   void PumpLoop();
   void ExportLoop();
-  // Applies drained ops to the engine. Caller holds engine_mutex_.
-  void ApplyOps(std::vector<IngestOp>* ops);
+  // Step's body; `force_refresh` refreshes whatever is pending. Caller
+  // holds engine_mutex_, as for every helper below.
+  Clock::time_point StepLocked(Clock::time_point now, bool force_refresh);
+  void ApplyOps(std::vector<IngestOp> ops);
+  // When the time triggers fire for what is pending (max() for nothing).
+  Clock::time_point RefreshDueAt() const;
   // One TryRefresh under the watchdog; harvests incidents into the repair
-  // set and observes staleness. Caller holds engine_mutex_.
-  void RunRefresh();
-  // At most one RepairView per call, paced by repair_backoff_. Caller
-  // holds engine_mutex_.
-  void RunRepairs();
+  // set and observes staleness up to the refresh's end: `now` plus the
+  // real time since `step_started`.
+  void RunRefresh(Clock::time_point now, Clock::time_point step_started);
+  // At most one RepairView per call, paced by repair_backoff_.
+  void RunRepairs(Clock::time_point now);
   // Snapshot + checkpoint + rotate + truncate when a trigger fired.
-  // Caller holds engine_mutex_.
-  void RunHousekeeping(bool force);
+  void RunHousekeeping(Clock::time_point now);
   void UpdateHealth();
 
   ViewManager* vm_;
@@ -192,37 +204,29 @@ class MaintenanceService {
   robust::Deadline deadline_;
   robust::Backoff repair_backoff_;
   robust::Backoff snapshot_backoff_;
+  std::atomic<State> state_{State::kNew};
 
-  // Engine state: everything below is pump-owned while running; the
-  // mutex lets Stop and the stats/health accessors read consistently.
+  // Engine state, read and written only under engine_mutex_.
   mutable std::mutex engine_mutex_;
   std::unique_ptr<persist::SegmentedWal> wal_;
   ServiceStats stats_;
   ServiceHealth health_ = ServiceHealth::kHealthy;
   std::set<std::string> needs_repair_;
-  std::vector<std::chrono::steady_clock::time_point> pending_stamps_;
+  std::vector<Clock::time_point> pending_stamps_;
   std::vector<double> staleness_samples_;
   size_t staleness_ring_ = 0;
-  std::chrono::steady_clock::time_point next_repair_;
-  std::chrono::steady_clock::time_point next_snapshot_retry_;
-  int64_t records_at_snapshot_ = 0;
+  // When the last refresh ended; the first step starts the interval.
+  std::optional<Clock::time_point> last_refresh_end_;
+  Clock::time_point next_repair_;
+  Clock::time_point next_snapshot_retry_;
+  uint64_t checkpoint_lsn_ = 0;  // the service's last CHECKPOINT record
 
-  // Thread control.
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> crash_{false};
-  std::atomic<bool> running_{false};
-  // Set by WaitForQuiesce: refresh on the next pump iteration regardless
-  // of the staleness triggers.
-  std::atomic<bool> force_refresh_{false};
+  // Threads; export_mutex_ guards export_stop_.
   std::mutex export_mutex_;
   std::condition_variable export_cv_;
+  bool export_stop_ = false;
   std::thread pump_;
   std::thread exporter_;
-
-  // Quiesce signalling.
-  std::mutex quiesce_mutex_;
-  std::condition_variable quiesce_cv_;
-  uint64_t refreshed_generation_ = 0;
 };
 
 }  // namespace idivm::serve

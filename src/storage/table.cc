@@ -119,12 +119,11 @@ size_t Table::DeleteWhereEquals(const std::vector<size_t>& columns,
   return slots.size();
 }
 
-size_t Table::UpdateRowsWhereEquals(const std::vector<size_t>& match_columns,
-                                    const Row& key,
-                                    const std::function<void(Row&)>& mutator,
-                                    std::vector<Row>* pre_images,
-                                    std::vector<Row>* post_images,
-                                    const std::vector<size_t>* mutated_columns) {
+size_t Table::UpdateRowsWhereEquals(
+    const std::vector<size_t>& match_columns, const Row& key,
+    const std::function<void(Row&)>& mutator, std::vector<Row>* pre_images,
+    std::vector<Row>* post_images,
+    const std::vector<size_t>* mutated_columns) {
   const RowIndex& match_idx = IndexOn(match_columns);
   ChargeLookup();
   const std::vector<size_t> slots = IndexProbe(match_idx, key);

@@ -298,7 +298,8 @@ void TupleIvm::RederiveForOccurrence(
   std::vector<const Modification*> single_pass;
   std::set<std::string> shadow_attrs;
   for (const Modification& mod : it->second) {
-    if (mod.kind == DiffType::kUpdate && occurrence_supports_shadows_[occurrence]) {
+    if (mod.kind == DiffType::kUpdate &&
+        occurrence_supports_shadows_[occurrence]) {
       std::set<std::string> changed;
       for (size_t i = 0; i < table.schema().num_columns(); ++i) {
         if (mod.pre[i].Compare(mod.post[i]) != 0) {

@@ -161,9 +161,11 @@ TEST_F(AggMaintTest, NonRootAggregateUsesAbsoluteUpdates) {
       PlanNode::Select(agg, Gt(Col("total"), Lit(Value(25.0))));
   Maintainer m(&db_, CompileView("v", plan, db_));
   ModificationLogger logger(&db_);
-  EXPECT_TRUE(logger.Update("m", {Value(int64_t{1})}, {"x"}, {Value(25.0)}));  // a: 45
+  // a: 45
+  EXPECT_TRUE(logger.Update("m", {Value(int64_t{1})}, {"x"}, {Value(25.0)}));
   Check(m, logger);
-  EXPECT_TRUE(logger.Update("m", {Value(int64_t{1})}, {"x"}, {Value(1.0)}));  // a: 21
+  // a: 21
+  EXPECT_TRUE(logger.Update("m", {Value(int64_t{1})}, {"x"}, {Value(1.0)}));
   Check(m, logger);
   EXPECT_FALSE(
       db_.GetTable("v").LookupByKeyUncounted({Value("a")}).has_value());
@@ -176,7 +178,8 @@ TEST_F(AggMaintTest, CountStarVsCountArg) {
        {AggFunc::kCount, Col("x"), "vals"}});
   Maintainer m(&db_, CompileView("v", plan, db_));
   ModificationLogger logger(&db_);
-  EXPECT_TRUE(logger.Insert("m", {Value(int64_t{10}), Value("b"), Value::Null()}));
+  EXPECT_TRUE(
+      logger.Insert("m", {Value(int64_t{10}), Value("b"), Value::Null()}));
   Check(m, logger);
   const auto row = db_.GetTable("v").LookupByKeyUncounted({Value("b")});
   EXPECT_EQ((*row)[1].AsInt64(), 3);  // rows

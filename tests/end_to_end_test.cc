@@ -73,7 +73,8 @@ TEST_F(EndToEndTest, InsertsPropagate) {
   ModificationLogger logger(&db_);
   EXPECT_TRUE(logger.Insert("parts", {Value("P4"), Value(30.0)}));
   EXPECT_TRUE(logger.Insert("devices_parts", {Value("D1"), Value("P4")}));
-  EXPECT_TRUE(logger.Insert("devices_parts", {Value("D3"), Value("P4")}));  // tablet: out
+  // tablet: out
+  EXPECT_TRUE(logger.Insert("devices_parts", {Value("D3"), Value("P4")}));
   MaintainAndCheck(m, logger, m.view().plan, "v");
   EXPECT_EQ(db_.GetTable("v").size(), 4u);
 }
@@ -90,8 +91,10 @@ TEST_F(EndToEndTest, SelectionFlipInsertsAndDeletes) {
   // Re-categorizing a device moves its tuples in and out of the view.
   Maintainer m = CompileSpj();
   ModificationLogger logger(&db_);
-  EXPECT_TRUE(logger.Update("devices", {Value("D3")}, {"category"}, {Value("phone")}));
-  EXPECT_TRUE(logger.Update("devices", {Value("D2")}, {"category"}, {Value("tablet")}));
+  EXPECT_TRUE(
+      logger.Update("devices", {Value("D3")}, {"category"}, {Value("phone")}));
+  EXPECT_TRUE(
+      logger.Update("devices", {Value("D2")}, {"category"}, {Value("tablet")}));
   MaintainAndCheck(m, logger, m.view().plan, "v");
 }
 
@@ -113,7 +116,8 @@ TEST_F(EndToEndTest, AggregateGroupCreationAndDeletion) {
   Maintainer m = CompileAgg();
   ModificationLogger logger(&db_);
   // D3 becomes a phone: group D3 appears.
-  EXPECT_TRUE(logger.Update("devices", {Value("D3")}, {"category"}, {Value("phone")}));
+  EXPECT_TRUE(
+      logger.Update("devices", {Value("D3")}, {"category"}, {Value("phone")}));
   MaintainAndCheck(m, logger, m.view().plan, "vp");
   EXPECT_EQ(db_.GetTable("vp").size(), 3u);
   // Delete all of D1's links: group D1 disappears.
@@ -130,7 +134,8 @@ TEST_F(EndToEndTest, MixedBatchAcrossTables) {
   EXPECT_TRUE(logger.Insert("parts", {Value("P4"), Value(5.0)}));
   EXPECT_TRUE(logger.Insert("devices_parts", {Value("D2"), Value("P4")}));
   EXPECT_TRUE(logger.Delete("devices_parts", {Value("D1"), Value("P1")}));
-  EXPECT_TRUE(logger.Update("devices", {Value("D2")}, {"category"}, {Value("tablet")}));
+  EXPECT_TRUE(
+      logger.Update("devices", {Value("D2")}, {"category"}, {Value("tablet")}));
   MaintainAndCheck(m, logger, m.view().plan, "vp");
 }
 

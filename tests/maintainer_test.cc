@@ -104,7 +104,8 @@ TEST_F(MaintainerTest, TwoViewsOverOneDatabase) {
                                    db_));
   ModificationLogger logger(&db_);
   EXPECT_TRUE(logger.Update("parts", {Value("P2")}, {"price"}, {Value(25.0)}));
-  EXPECT_TRUE(logger.Update("devices", {Value("D1")}, {"category"}, {Value("tablet")}));
+  EXPECT_TRUE(
+      logger.Update("devices", {Value("D1")}, {"category"}, {Value("tablet")}));
   const auto net = logger.NetChanges();
   spj.Maintain(net);
   agg.Maintain(net);

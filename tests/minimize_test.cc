@@ -165,7 +165,8 @@ TEST_F(MinimizeTest, MinimizedCompilationStaysCorrect) {
                                 options));
   ModificationLogger logger(&db);
   EXPECT_TRUE(logger.Update("parts", {Value("P1")}, {"price"}, {Value(13.0)}));
-  EXPECT_TRUE(logger.Update("devices", {Value("D2")}, {"category"}, {Value("tablet")}));
+  EXPECT_TRUE(
+      logger.Update("devices", {Value("D2")}, {"category"}, {Value("tablet")}));
   m.Maintain(logger.NetChanges());
   testing::ExpectViewMatchesRecompute(&db, m.view().plan, "v");
 }

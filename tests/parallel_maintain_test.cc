@@ -118,7 +118,8 @@ TEST(ParallelMaintainTest, AggregateViewDeterministicUnderMixedChanges) {
     EXPECT_TRUE(logger.Insert("devices", {Value("D4"), Value("phone")}));
     EXPECT_TRUE(logger.Insert("devices_parts", {Value("D4"), Value("P4")}));
     EXPECT_TRUE(logger.Insert("devices_parts", {Value("D2"), Value("P2")}));
-    EXPECT_TRUE(logger.Update("parts", {Value("P1")}, {"price"}, {Value(12.0)}));
+    EXPECT_TRUE(
+        logger.Update("parts", {Value("P1")}, {"price"}, {Value(12.0)}));
     EXPECT_TRUE(logger.Delete("devices_parts", {Value("D1"), Value("P2")}));
     db.stats().Reset();
     const MaintainResult result =

@@ -5,8 +5,6 @@
 // COMMIT with every recovered view identical to a from-scratch recompute
 // over the recovered base tables.
 
-#include <stdlib.h>
-
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -36,6 +34,7 @@ using persist::SegmentedWalOptions;
 using persist::WalPosition;
 using persist::WalRecordType;
 using persist::WriteSnapshot;
+using ::idivm::testing::Scratch;
 
 constexpr uint64_t kWalHeaderBytes = 8;  // magic + version
 constexpr int kModifications = 1000;
@@ -43,29 +42,6 @@ constexpr int kCommitEvery = 50;
 // Small enough that the golden WAL spans several segments, so the sweeps
 // cross segment seams.
 constexpr uint64_t kRotateBytes = 1 << 14;
-
-// This process's scratch directory, removed at exit. ctest runs every test
-// of the suite as its own process, concurrently under -j, so the golden
-// files and every faulted copy must not sit at shared paths.
-class ProcessScratch {
- public:
-  ProcessScratch() {
-    std::string pattern = ::testing::TempDir() + "idivm_fault_XXXXXX";
-    IDIVM_CHECK(::mkdtemp(pattern.data()) != nullptr);
-    dir_ = pattern;
-  }
-  ~ProcessScratch() { std::filesystem::remove_all(dir_); }
-
-  std::string Path(const std::string& name) const { return dir_ + "/" + name; }
-
- private:
-  std::string dir_;
-};
-
-const ProcessScratch& Scratch() {
-  static const ProcessScratch scratch;
-  return scratch;
-}
 
 // The golden pre-crash run, built once per process: a scaled-down BSMA
 // instance with two views (a join chain and an aggregate), snapshotted at

@@ -65,7 +65,8 @@ TEST_F(ScriptIoRoundTrip, SpjViewMaintainsIdentically) {
   EXPECT_TRUE(logger.Update("parts", {Value("P1")}, {"price"}, {Value(11.0)}));
   EXPECT_TRUE(logger.Insert("parts", {Value("P4"), Value(9.0)}));
   EXPECT_TRUE(logger.Insert("devices_parts", {Value("D2"), Value("P4")}));
-  EXPECT_TRUE(logger.Update("devices", {Value("D3")}, {"category"}, {Value("phone")}));
+  EXPECT_TRUE(
+      logger.Update("devices", {Value("D3")}, {"category"}, {Value("phone")}));
   m.Maintain(logger.NetChanges());
   testing::ExpectViewMatchesRecompute(&db_, loaded.view.plan, "v");
 }

@@ -1,26 +1,31 @@
 // The serving layer: IngestQueue backpressure semantics (block / shed /
-// coalesce) and the MaintenanceService end to end — apply + refresh
-// against a live pump thread, the watchdog deadline tripping the
+// coalesce) and the pump's wait; MaintenanceService::Step driven at
+// chosen times (each refresh trigger and the due time it returns, repair
+// pacing and health, the snapshot record trigger); and the service end to
+// end — apply + refresh against a live pump thread, WaitForQuiesce
+// returning only with every op applied, the watchdog deadline tripping the
 // degradation ladder, adaptive housekeeping (snapshot + WAL truncation),
-// and the kill-and-resume chaos cycle: crash mid-stream, tear the WAL
-// tail, recover, verify views ≡ recompute, restart and keep ingesting.
-
-#include <sys/stat.h>
+// the exporter's last write, and the kill-and-resume chaos cycle: crash
+// mid-stream, tear the WAL tail, recover, verify views ≡ recompute,
+// restart and keep ingesting.
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/view_manager.h"
+#include "src/obs/metrics.h"
 #include "src/persist/recovery.h"
 #include "src/persist/wal.h"
 #include "src/persist/wal_set.h"
+#include "src/robust/fault_injection.h"
 #include "src/serve/ingest_queue.h"
 #include "src/serve/service.h"
 #include "src/storage/database.h"
@@ -33,6 +38,7 @@ using persist::ReadSegmentedWal;
 using persist::Recover;
 using persist::RecoverResult;
 using persist::SegmentedReadResult;
+using persist::SegmentedWal;
 using persist::TruncateFile;
 using persist::WalSegmentInfo;
 using serve::BackpressurePolicy;
@@ -46,12 +52,15 @@ using serve::ServiceStats;
 using ::idivm::testing::ExpectViewMatchesRecompute;
 using ::idivm::testing::LoadRunningExample;
 using ::idivm::testing::RunningExampleSpjPlan;
+using Clock = MaintenanceService::Clock;
 
+constexpr Clock::duration kTick = std::chrono::nanoseconds(1);
+
+// An empty directory under this process's scratch (repeats reuse it).
 std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "idivm_serve_" + name;
-  const int rc = std::system(("rm -rf '" + dir + "'").c_str());
-  EXPECT_EQ(rc, 0);
-  ::mkdir(dir.c_str(), 0755);
+  const std::string dir = ::idivm::testing::Scratch().Path(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
   return dir;
 }
 
@@ -82,12 +91,6 @@ IngestOp InsertOp(const std::string& key) {
   return op;
 }
 
-std::vector<IngestOp> Drain(IngestQueue* queue) {
-  std::vector<IngestOp> out;
-  queue->WaitAndDrain(&out, 0.0);
-  return out;
-}
-
 TEST(ServeQueueTest, ShedDropsWhenFullAndCounts) {
   IngestQueue queue({.capacity = 2, .policy = BackpressurePolicy::kShed});
   EXPECT_TRUE(queue.Submit(UpdateOp("u1", 1.0)));
@@ -96,7 +99,7 @@ TEST(ServeQueueTest, ShedDropsWhenFullAndCounts) {
   EXPECT_EQ(queue.depth(), 2u);
   EXPECT_EQ(queue.shed(), 1u);
   EXPECT_EQ(queue.accepted(), 2u);
-  EXPECT_EQ(Drain(&queue).size(), 2u);
+  EXPECT_EQ(queue.Drain().size(), 2u);
   EXPECT_TRUE(queue.Submit(UpdateOp("u3", 3.0)));  // space again
 }
 
@@ -107,7 +110,7 @@ TEST(ServeQueueTest, CoalesceMergesSameKeyUpdatesLastWriteWins) {
   EXPECT_TRUE(queue.Submit(UpdateOp("u1", 3.0)));  // merges into the first
   EXPECT_EQ(queue.depth(), 2u);
   EXPECT_EQ(queue.coalesced(), 1u);
-  const std::vector<IngestOp> ops = Drain(&queue);
+  const std::vector<IngestOp> ops = queue.Drain();
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].row[0].ToString(), "u1");
   ASSERT_EQ(ops[0].values.size(), 1u);
@@ -121,7 +124,7 @@ TEST(ServeQueueTest, CoalesceDeleteSupersedesPendingUpdates) {
   EXPECT_TRUE(queue.Submit(DeleteOp("u1")));  // drops u1's update, enqueues
   EXPECT_EQ(queue.depth(), 2u);
   EXPECT_EQ(queue.coalesced(), 1u);
-  const std::vector<IngestOp> ops = Drain(&queue);
+  const std::vector<IngestOp> ops = queue.Drain();
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].kind, DiffType::kUpdate);
   EXPECT_EQ(ops[0].row[0].ToString(), "u2");
@@ -154,9 +157,9 @@ TEST(ServeQueueTest, BlockWaitsUntilTheConsumerDrains) {
   // The producer stays blocked while the queue is full.
   EXPECT_EQ(blocked.wait_for(std::chrono::milliseconds(50)),
             std::future_status::timeout);
-  EXPECT_EQ(Drain(&queue).size(), 1u);
+  EXPECT_EQ(queue.Drain().size(), 1u);
   EXPECT_TRUE(blocked.get());  // woke and enqueued
-  const std::vector<IngestOp> ops = Drain(&queue);
+  const std::vector<IngestOp> ops = queue.Drain();
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_EQ(ops[0].row[0].ToString(), "u2");
 }
@@ -172,7 +175,28 @@ TEST(ServeQueueTest, CloseWakesBlockedProducersAndKeepsPendingDrainable) {
   queue.Close();
   EXPECT_FALSE(blocked.get());  // woke and failed
   EXPECT_FALSE(queue.Submit(UpdateOp("u3", 3.0)));
-  EXPECT_EQ(Drain(&queue).size(), 1u);  // pending op survives the close
+  EXPECT_EQ(queue.Drain().size(), 1u);  // pending op survives the close
+}
+
+TEST(ServeQueueTest, WaitUntilWakesOnOpWakeDueAndClose) {
+  IngestQueue queue({.capacity = 4, .policy = BackpressurePolicy::kBlock});
+  // Nothing pending: the wait ends at its due time.
+  EXPECT_TRUE(queue.WaitUntil(Clock::now()));
+  // A pending op ends it at once, and the wait does not drain it.
+  EXPECT_TRUE(queue.Submit(UpdateOp("u1", 1.0)));
+  EXPECT_TRUE(queue.WaitUntil(Clock::time_point::max()));
+  EXPECT_EQ(queue.Drain().size(), 1u);
+  // A wake before the wait is not lost, and one wake ends one wait.
+  queue.Wake();
+  EXPECT_TRUE(queue.WaitUntil(Clock::time_point::max()));
+  std::future<bool> waiting = std::async(std::launch::async, [&queue] {
+    return queue.WaitUntil(Clock::time_point::max());
+  });
+  EXPECT_EQ(waiting.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  queue.Close();
+  EXPECT_FALSE(waiting.get());  // closed: the waiter returns false
+  EXPECT_FALSE(queue.WaitUntil(Clock::time_point::max()));
 }
 
 // ---- MaintenanceService ----
@@ -181,8 +205,161 @@ ServiceOptions FastServiceOptions() {
   ServiceOptions options;
   options.refresh_pending_threshold = 4;
   options.refresh_interval_seconds = 0.002;
-  options.poll_seconds = 0.001;
   return options;
+}
+
+bool SubmitPrice(MaintenanceService* service, const std::string& pid,
+                 double price) {
+  return service->SubmitUpdate("parts", {Value(pid)}, {"price"},
+                               {Value(price)});
+}
+
+// ---- Step at chosen times (the pump stays off) ----
+
+TEST(ServeStepTest, EachRefreshTriggerFiresExactlyWhenDue) {
+  Database db;
+  LoadRunningExample(&db);
+  ViewManager vm(&db);
+  vm.DefineView("v", RunningExampleSpjPlan(db));
+  ServiceOptions options;
+  options.refresh_pending_threshold = 3;
+  // Far longer than the test runs, so real op stamps all fall within
+  // the first interval.
+  options.refresh_interval_seconds = 100;
+  const Clock::duration interval = std::chrono::seconds(100);
+  MaintenanceService service(&vm, &db, options);
+  std::string error;
+  ASSERT_TRUE(service.Open(&error)) << error;
+
+  // Nothing pending: nothing is due. The first step starts the interval.
+  const Clock::time_point t0 = Clock::now();
+  EXPECT_EQ(service.Step(t0), Clock::time_point::max());
+
+  // Trigger "the interval has passed since the last refresh ended" (the
+  // first step stands in for it): one op, submitted after t0, is due at
+  // t0 + interval and not a tick earlier.
+  ASSERT_TRUE(SubmitPrice(&service, "P1", 11.0));
+  EXPECT_EQ(service.Step(t0), t0 + interval);
+  EXPECT_EQ(service.Step(t0 + interval - kTick), t0 + interval);
+  EXPECT_EQ(service.stats().ops_applied, 1u);
+  EXPECT_EQ(service.stats().refreshes, 0u);
+  EXPECT_EQ(service.Step(t0 + interval), Clock::time_point::max());
+  EXPECT_EQ(service.stats().refreshes, 1u);
+
+  // Trigger "the oldest pending op is at least the interval old": the op
+  // is stamped when submitted, long before the last refresh ended, so it
+  // sets the due time.
+  const Clock::time_point before = Clock::now();
+  ASSERT_TRUE(SubmitPrice(&service, "P1", 12.0));
+  const Clock::time_point after = Clock::now();
+  const Clock::time_point due = service.Step(t0 + interval);
+  EXPECT_GE(due, before + interval);
+  EXPECT_LE(due, after + interval);
+  EXPECT_EQ(service.Step(due - kTick), due);
+  EXPECT_EQ(service.stats().refreshes, 1u);
+  EXPECT_EQ(service.Step(due), Clock::time_point::max());
+  EXPECT_EQ(service.stats().refreshes, 2u);
+
+  // Trigger "pending >= refresh_pending_threshold": with no time trigger
+  // due, the third pending op refreshes at once.
+  ASSERT_TRUE(SubmitPrice(&service, "P1", 13.0));
+  ASSERT_TRUE(SubmitPrice(&service, "P2", 21.0));
+  service.Step(due);
+  EXPECT_EQ(service.stats().refreshes, 2u);
+  ASSERT_TRUE(SubmitPrice(&service, "P3", 22.0));
+  EXPECT_EQ(service.Step(due), Clock::time_point::max());
+  EXPECT_EQ(service.stats().refreshes, 3u);
+  EXPECT_EQ(service.stats().ops_applied, 5u);
+  EXPECT_EQ(service.StalenessSamples().size(), 5u);
+
+  service.Stop();
+  ExpectViewMatchesRecompute(&db, RunningExampleSpjPlan(db), "v",
+                             "stepped refresh triggers");
+}
+
+TEST(ServeStepTest, RepairIsPacedByTheBackoffAndRestoresHealth) {
+  Database db;
+  LoadRunningExample(&db);
+  ViewManager vm(&db);
+  vm.DefineView("v", RunningExampleSpjPlan(db));
+  // The first refresh's first fault site fails, and fail-fast leaves the
+  // rolled-back view for the service to repair.
+  FaultPlan plan;
+  plan.fire_at_site = 0;
+  plan.max_fires = 1;
+  FaultInjector fault(plan);
+  ServiceOptions options;
+  options.refresh_pending_threshold = 1;
+  options.degrade = DegradePolicy::kFailFast;
+  options.fault = &fault;
+  options.repair_backoff.base_seconds = 2;
+  options.repair_backoff.max_seconds = 8;
+  const Clock::duration base = std::chrono::seconds(2);
+  MaintenanceService service(&vm, &db, options);
+  std::string error;
+  ASSERT_TRUE(service.Open(&error)) << error;
+  EXPECT_EQ(service.health(), ServiceHealth::kHealthy);
+
+  const Clock::time_point t0 = Clock::now();
+  ASSERT_TRUE(SubmitPrice(&service, "P1", 11.0));
+  EXPECT_EQ(service.Step(t0), t0 + base);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.refreshes, 1u);
+  EXPECT_EQ(stats.refresh_failures, 1u);
+  EXPECT_EQ(stats.incidents, 1u);
+  EXPECT_EQ(stats.repairs, 0u);
+  EXPECT_EQ(service.health(), ServiceHealth::kDegraded);
+
+  // No repair before t0 + base_seconds...
+  EXPECT_EQ(service.Step(t0 + base - kTick), t0 + base);
+  EXPECT_EQ(service.stats().repairs, 0u);
+  EXPECT_EQ(service.health(), ServiceHealth::kDegraded);
+  // ...and exactly one at it, which returns the view to service.
+  EXPECT_EQ(service.Step(t0 + base), Clock::time_point::max());
+  EXPECT_EQ(service.stats().repairs, 1u);
+  EXPECT_EQ(service.health(), ServiceHealth::kHealthy);
+
+  service.Stop();
+  ExpectViewMatchesRecompute(&db, RunningExampleSpjPlan(db), "v",
+                             "repaired view");
+}
+
+TEST(ServeStepTest, SnapshotRecordTriggerCountsTheServicesWal) {
+  const std::string dir = FreshDir("step_snapshot");
+  Database db;
+  LoadRunningExample(&db);
+  ViewManager vm(&db);
+  vm.DefineView("v", RunningExampleSpjPlan(db));
+  ServiceOptions options;
+  options.data_dir = dir;
+  options.refresh_pending_threshold = 1;
+  options.snapshot_every_records = 6;
+  options.snapshot_every_bytes = 0;
+  MaintenanceService service(&vm, &db, options);
+  std::string error;
+  ASSERT_TRUE(service.Open(&error)) << error;
+  // The bootstrap checkpoint is the service's last checkpoint.
+  const uint64_t checkpoint = service.wal()->last_lsn();
+  ASSERT_GT(checkpoint, 0u);
+
+  // Each step journals one modification and one COMMIT: 2, 4 and then 6
+  // records past the checkpoint, the third reaching the trigger.
+  const Clock::time_point now = Clock::now();
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(SubmitPrice(&service, "P1", 10.0 + i));
+    service.Step(now);
+    EXPECT_EQ(service.stats().snapshots, i < 3 ? 0u : 1u) << "step " << i;
+  }
+  // The snapshot covers the six records; its CHECKPOINT is the seventh
+  // and restarts the count.
+  EXPECT_EQ(service.wal()->last_lsn(), checkpoint + 7);
+  for (int i = 4; i <= 5; ++i) {
+    ASSERT_TRUE(SubmitPrice(&service, "P1", 10.0 + i));
+    service.Step(now);
+  }
+  EXPECT_EQ(service.stats().snapshots, 1u);
+  EXPECT_EQ(service.stats().snapshot_failures, 0u);
+  service.Stop();
 }
 
 TEST(ServeStreamTest, ServiceAppliesRefreshesAndCountsRejects) {
@@ -199,7 +376,8 @@ TEST(ServeStreamTest, ServiceAppliesRefreshesAndCountsRejects) {
   ASSERT_TRUE(service.SubmitInsert("parts", {Value("P9"), Value(90.0)}));
   ASSERT_TRUE(
       service.SubmitUpdate("parts", {Value("P1")}, {"price"}, {Value(11.5)}));
-  ASSERT_TRUE(service.SubmitDelete("devices_parts", {Value("D3"), Value("P2")}));
+  ASSERT_TRUE(
+      service.SubmitDelete("devices_parts", {Value("D3"), Value("P2")}));
   ASSERT_TRUE(
       service.SubmitInsert("devices_parts", {Value("D1"), Value("P9")}));
   // Duplicate key: applied to the engine, rejected there, counted.
@@ -251,6 +429,126 @@ TEST(ServeStreamTest, DeadlineTripsTheDegradationLadder) {
                              "deadline-tripped refreshes");
 }
 
+// WaitForQuiesce steps on the calling thread under the engine lock, so it
+// cannot return while the pump holds a drained batch it has not applied.
+TEST(ServeStreamTest, QuiesceReturnsWithEverySubmittedOpApplied) {
+  Database db;
+  LoadRunningExample(&db);
+  ViewManager vm(&db);
+  vm.DefineView("v", RunningExampleSpjPlan(db));
+  MaintenanceService service(&vm, &db, FastServiceOptions());
+  std::string error;
+  ASSERT_TRUE(service.Start(&error)) << error;
+
+  uint64_t submitted = 0;
+  for (int round = 0; round < 50; ++round) {
+    const std::string pid = "P" + std::to_string(100 + round);
+    ASSERT_TRUE(service.SubmitInsert("parts", {Value(pid), Value(1.0)}));
+    ASSERT_TRUE(SubmitPrice(&service, "P1", 10.0 + round));
+    // A duplicate key: applied to the engine, rejected there.
+    ASSERT_TRUE(service.SubmitInsert("parts", {Value(pid), Value(2.0)}));
+    submitted += 3;
+    ASSERT_TRUE(service.WaitForQuiesce(20.0));
+    const ServiceStats stats = service.stats();
+    ASSERT_EQ(stats.ops_applied + stats.ops_rejected, submitted)
+        << "round " << round;
+    ASSERT_EQ(service.StalenessSamples().size(), stats.ops_applied)
+        << "round " << round;
+  }
+  service.Stop();
+  ExpectViewMatchesRecompute(&db, RunningExampleSpjPlan(db), "v",
+                             "quiesce rounds");
+}
+
+TEST(ServeStreamTest, StoppedServiceCannotBeRestarted) {
+  Database db;
+  LoadRunningExample(&db);
+  ViewManager vm(&db);
+  vm.DefineView("v", RunningExampleSpjPlan(db));
+  MaintenanceService service(&vm, &db, FastServiceOptions());
+  std::string error;
+  ASSERT_TRUE(service.Start(&error)) << error;
+  service.Stop();
+
+  EXPECT_FALSE(service.Start(&error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(service.running());
+  EXPECT_FALSE(SubmitPrice(&service, "P1", 11.0));
+}
+
+// The snapshot record trigger counts the service's own WAL: another
+// journal in the same process does not fire it.
+TEST(ServeStreamTest, SnapshotTriggerIgnoresOtherJournals) {
+  const std::string dir = FreshDir("own_wal");
+  const std::string other_dir = FreshDir("other_wal");
+  Database db;
+  LoadRunningExample(&db);
+  ViewManager vm(&db);
+  vm.DefineView("v", RunningExampleSpjPlan(db));
+  ServiceOptions options = FastServiceOptions();
+  options.data_dir = dir;
+  options.snapshot_every_records = 16;
+  options.snapshot_every_bytes = 0;
+  MaintenanceService service(&vm, &db, options);
+  std::string error;
+  ASSERT_TRUE(service.Start(&error)) << error;
+
+  std::unique_ptr<SegmentedWal> other = SegmentedWal::Open(other_dir);
+  ASSERT_NE(other, nullptr);
+  for (int i = 0; i < 20; ++i) other->JournalCommit();
+
+  ASSERT_TRUE(SubmitPrice(&service, "P1", 11.0));
+  ASSERT_TRUE(service.WaitForQuiesce(20.0));
+  service.Stop();
+  EXPECT_EQ(service.stats().snapshots, 0u);
+}
+
+int64_t PrometheusSample(const std::string& text, const std::string& name) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(name + " ", 0) == 0) {
+      return std::stoll(line.substr(name.size() + 1));
+    }
+  }
+  ADD_FAILURE() << "no sample " << name;
+  return -1;
+}
+
+// Stop stops the exporter after the final refresh, so the file's last
+// write carries the values the registry holds after Stop.
+TEST(ServeStreamTest, ExporterLastWriteFollowsTheFinalRefresh) {
+  const std::string dir = FreshDir("exporter");
+  Database db;
+  LoadRunningExample(&db);
+  ViewManager vm(&db);
+  vm.DefineView("v", RunningExampleSpjPlan(db));
+  ServiceOptions options = FastServiceOptions();
+  options.export_path = dir + "/metrics.prom";
+  // Only the first write and the last one happen in this test.
+  options.export_interval_seconds = 3600;
+  MaintenanceService service(&vm, &db, options);
+  std::string error;
+  ASSERT_TRUE(service.Start(&error)) << error;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(service.SubmitInsert(
+        "parts", {Value("P" + std::to_string(100 + i)), Value(1.0)}));
+  }
+  service.Stop();
+
+  std::ifstream file(options.export_path);
+  ASSERT_TRUE(file.good());
+  std::stringstream text;
+  text << file.rdbuf();
+  const int64_t refreshes =
+      obs::GlobalCounter("idivm_refreshes_total").value();
+  EXPECT_GT(refreshes, 0);
+  EXPECT_EQ(PrometheusSample(text.str(), "idivm_refreshes_total"),
+            refreshes);
+  EXPECT_EQ(PrometheusSample(text.str(), "idivm_ingest_accepted_total"),
+            obs::GlobalCounter("idivm_ingest_accepted_total").value());
+}
+
 TEST(ServeStreamTest, HousekeepingSnapshotsAndBoundsTheWal) {
   const std::string dir = FreshDir("housekeeping");
   Database db;
@@ -274,11 +572,9 @@ TEST(ServeStreamTest, HousekeepingSnapshotsAndBoundsTheWal) {
     }
     ASSERT_TRUE(service.WaitForQuiesce(20.0));
   }
-  // Housekeeping runs on idle pump iterations after the record trigger;
-  // give it a moment.
-  for (int i = 0; i < 200 && service.stats().snapshots == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  // WaitForQuiesce's steps housekeep right after their refresh, so the
+  // record trigger has fired by now.
+  EXPECT_GE(service.stats().snapshots, 1u);
   service.Stop();
 
   const ServiceStats stats = service.stats();
@@ -333,20 +629,20 @@ TEST(ServeStreamTest, KillAndResumeChaosCycle) {
   const uint64_t quiesced_lsn = service->stats().last_commit_lsn;
 
   // Phase 2: more ops, then crash mid-stream once at least one phase-2
-  // batch has committed — later ops may still be queued and are
-  // abandoned. Waiting for that commit puts the torn tail below in
-  // phase 2; crashing before it would tear the quiesced prefix's last
-  // COMMIT instead.
-  for (int i = 0; i < 40; ++i) {
+  // batch has committed — the ops submitted after it may be applied,
+  // journaled or still queued, and queued ones are abandoned. Committing
+  // first puts the torn tail below in phase 2; crashing before it would
+  // tear the quiesced prefix's last COMMIT instead.
+  for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(service->SubmitInsert(
         "parts", {Value("P2" + std::to_string(100 + i)), Value(2.0 * i)}));
   }
-  for (int i = 0; i < 2000 &&
-                  service->stats().last_commit_lsn == quiesced_lsn;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  ASSERT_TRUE(service->WaitForQuiesce(20.0));
   ASSERT_GT(service->stats().last_commit_lsn, quiesced_lsn);
+  for (int i = 20; i < 40; ++i) {
+    ASSERT_TRUE(service->SubmitInsert(
+        "parts", {Value("P2" + std::to_string(100 + i)), Value(2.0 * i)}));
+  }
   service->Crash();
   service.reset();
 

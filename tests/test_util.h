@@ -4,12 +4,16 @@
 #ifndef IDIVM_TESTS_TEST_UTIL_H_
 #define IDIVM_TESTS_TEST_UTIL_H_
 
+#include <stdlib.h>
+
+#include <filesystem>
 #include <map>
 #include <string>
 
 #include "gtest/gtest.h"
 #include "src/algebra/evaluator.h"
 #include "src/algebra/plan.h"
+#include "src/common/check.h"
 #include "src/core/compose.h"
 #include "src/core/script_io.h"
 #include "src/storage/database.h"
@@ -120,6 +124,30 @@ inline CompiledView SelectOnMissingColumn(CompiledView view,
 // it.
 inline std::string RepositoryOf(const CompiledView& view) {
   return "(repository 1 1\n" + SerializeCompiledView(view) + "\n)\n";
+}
+
+// This process's scratch directory, removed at exit. ctest runs every test
+// of the suite as its own process, concurrently under -j, and race loops
+// run several copies of one test binary at once, so test files must not
+// sit at shared paths.
+class ProcessScratch {
+ public:
+  ProcessScratch() {
+    std::string pattern = ::testing::TempDir() + "idivm_XXXXXX";
+    IDIVM_CHECK(::mkdtemp(pattern.data()) != nullptr);
+    dir_ = pattern;
+  }
+  ~ProcessScratch() { std::filesystem::remove_all(dir_); }
+
+  std::string Path(const std::string& name) const { return dir_ + "/" + name; }
+
+ private:
+  std::string dir_;
+};
+
+inline const ProcessScratch& Scratch() {
+  static const ProcessScratch scratch;
+  return scratch;
 }
 
 }  // namespace idivm::testing

@@ -34,7 +34,8 @@ TEST(TupleIvmTest, SpjInsertDeleteUpdateMix) {
   EXPECT_TRUE(logger.Insert("parts", {Value("P4"), Value(7.0)}));
   EXPECT_TRUE(logger.Insert("devices_parts", {Value("D2"), Value("P4")}));
   EXPECT_TRUE(logger.Delete("devices_parts", {Value("D1"), Value("P2")}));
-  EXPECT_TRUE(logger.Update("devices", {Value("D3")}, {"category"}, {Value("phone")}));
+  EXPECT_TRUE(
+      logger.Update("devices", {Value("D3")}, {"category"}, {Value("phone")}));
   tivm.Maintain(logger.NetChanges());
   ExpectViewMatchesRecompute(&db, RunningExampleSpjPlan(db), "v");
 }
@@ -78,7 +79,8 @@ TEST(TupleIvmTest, AggregateGroupCreateDelete) {
   LoadRunningExample(&db);
   TupleIvm tivm(&db, "vp", RunningExampleAggPlan(db));
   ModificationLogger logger(&db);
-  EXPECT_TRUE(logger.Update("devices", {Value("D3")}, {"category"}, {Value("phone")}));
+  EXPECT_TRUE(
+      logger.Update("devices", {Value("D3")}, {"category"}, {Value("phone")}));
   tivm.Maintain(logger.NetChanges());
   ExpectViewMatchesRecompute(&db, RunningExampleAggPlan(db), "vp");
   logger.Clear();
@@ -112,7 +114,8 @@ TEST_P(TupleIvmPropertyTest, MatchesRecompute) {
       {"sid"});
   Relation s_data(s.schema());
   for (int64_t i = 0; i < 6; ++i) {
-    s_data.Append({Value(i), Value(static_cast<double>(rng.UniformInt(0, 20)))});
+    s_data.Append(
+        {Value(i), Value(static_cast<double>(rng.UniformInt(0, 20)))});
   }
   s.BulkLoadUncounted(s_data);
 
@@ -138,9 +141,9 @@ TEST_P(TupleIvmPropertyTest, MatchesRecompute) {
     for (int i = 0; i < ops; ++i) {
       switch (rng.UniformInt(0, 4)) {
         case 0:
-          EXPECT_TRUE(logger.Insert("r", {Value(next_rid++), Value(rng.UniformInt(0, 5)),
-                              Value(static_cast<double>(
-                                  rng.UniformInt(0, 40)))}));
+          EXPECT_TRUE(logger.Insert(
+              "r", {Value(next_rid++), Value(rng.UniformInt(0, 5)),
+                    Value(static_cast<double>(rng.UniformInt(0, 40)))}));
           break;
         case 1:  // may miss: the key may already be gone
           (void)logger.Delete("r", {Value(rng.UniformInt(0, next_rid - 1))});

@@ -110,7 +110,8 @@ TEST(ViewAssistTest, MissFallsBackToBaseTable) {
                                 AssistOptions()));
   ModificationLogger logger(&db);
   EXPECT_TRUE(logger.Insert("parts", {Value(int64_t{9999}), Value(55.0)}));
-  EXPECT_TRUE(logger.Insert("devices_parts", {Value(int64_t{0}), Value(int64_t{9999})}));
+  EXPECT_TRUE(logger.Insert("devices_parts",
+                            {Value(int64_t{0}), Value(int64_t{9999})}));
   db.stats().Reset();
   db.GetTable("parts").ResetLocalStats();
   m.Maintain(logger.NetChanges());
@@ -125,13 +126,15 @@ TEST(ViewAssistTest, UpdatesDisableAssistForSafety) {
   Maintainer m(&db, CompileView("vp", workload.AggViewPlan(), db,
                                 AssistOptions()));
   ModificationLogger logger(&db);
-  EXPECT_TRUE(logger.Update("parts", {Value(int64_t{5})}, {"price"}, {Value(77.0)}));
+  EXPECT_TRUE(
+      logger.Update("parts", {Value(int64_t{5})}, {"price"}, {Value(77.0)}));
   // Link part 5 into a device in the same batch.
   for (int64_t did = 0; did < 150; ++did) {
     if (!db.GetTable("devices_parts")
              .LookupByKeyUncounted({Value(did), Value(int64_t{5})})
              .has_value()) {
-      EXPECT_TRUE(logger.Insert("devices_parts", {Value(did), Value(int64_t{5})}));
+      EXPECT_TRUE(
+          logger.Insert("devices_parts", {Value(did), Value(int64_t{5})}));
       break;
     }
   }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint for CI (the docs-check job).
 
-Three checks, all against working-tree files only (no network):
+Four checks, all against working-tree files only (no network):
 
 1. Intra-repo markdown links. Every relative link target in a tracked
    *.md file must exist on disk, and a link's "#anchor" fragment must
@@ -24,6 +24,10 @@ Three checks, all against working-tree files only (no network):
 3. The architecture map. docs/ARCHITECTURE.md must mention every
    src/<subsystem> directory that holds tracked sources, so the
    subsystem map cannot silently fall behind the tree.
+
+4. Source line width. Every line of a tracked *.h/*.cc file fits the
+   ColumnLimit of .clang-format, counted in characters — the one
+   clang-format rule this check can verify without clang-format itself.
 
 Exits non-zero listing every violation; prints nothing else on success.
 """
@@ -163,9 +167,24 @@ def check_architecture_map():
     ]
 
 
+def check_line_width():
+    """Every tracked C++ source line fits .clang-format's ColumnLimit."""
+    with open(os.path.join(REPO, ".clang-format"), encoding="utf-8") as f:
+        match = re.search(r"^ColumnLimit:\s*(\d+)", f.read(), re.MULTILINE)
+    limit = int(match.group(1)) if match else 80
+    errors = []
+    for source in tracked_files(".h") + tracked_files(".cc"):
+        with open(os.path.join(REPO, source), encoding="utf-8") as f:
+            for number, line in enumerate(f.read().splitlines(), 1):
+                if len(line) > limit:
+                    errors.append(f"{source}:{number}: {len(line)} columns "
+                                  f"(limit {limit})")
+    return errors
+
+
 def main():
     errors = (check_links() + check_obs_headers() +
-              check_architecture_map())
+              check_architecture_map() + check_line_width())
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
