@@ -65,8 +65,11 @@ int main() {
               db.GetTable("V").SnapshotUncounted().Sorted().ToString()
                   .c_str());
 
-  std::printf("Generated base-table i-diff schemas (Section 5):\n%s\n",
-              maintainer.view().base_schemas.ToString().c_str());
+  std::printf("Generated base-table i-diff schemas (Section 5):\n");
+  for (const InputDiffBinding& binding : maintainer.view().input_bindings) {
+    std::printf("%s\n", binding.schema.ToString().c_str());
+  }
+  std::printf("\n");
   std::printf("∆-script:\n%s\n", maintainer.view().script.ToString().c_str());
 
   // ---- Data modification time: Example 1.1 ----

@@ -7,40 +7,6 @@
 
 namespace idivm {
 
-IndexedRelation::IndexedRelation(Relation data, AccessStats* stats)
-    : data_(std::move(data)), stats_(stats) {
-  IDIVM_CHECK(stats_ != nullptr);
-}
-
-Relation IndexedRelation::ScanCounted() const {
-  ChargeSink(stats_).tuple_reads += static_cast<int64_t>(data_.size());
-  return data_;
-}
-
-const RowIndex& IndexedRelation::GetOrBuildIndex(
-    const std::vector<size_t>& columns) const {
-  std::lock_guard<std::mutex> lock(*index_mutex_);
-  auto it = indexes_.find(columns);
-  if (it == indexes_.end()) {
-    // Building is free in the paper's model (indices are assumed to exist
-    // at maintenance time).
-    it = indexes_.emplace(columns, RowIndex(columns, data_.rows())).first;
-  }
-  return it->second;
-}
-
-std::vector<Row> IndexedRelation::Probe(const std::vector<size_t>& columns,
-                                        const Row& key) const {
-  const RowIndex& index = GetOrBuildIndex(columns);
-  ++ChargeSink(stats_).index_lookups;
-  std::vector<Row> out;
-  index.ForEachMatch(data_.rows(), key, [&](size_t row_idx) {
-    ++ChargeSink(stats_).tuple_reads;
-    out.push_back(data_.rows()[row_idx]);
-  });
-  return out;
-}
-
 namespace {
 
 // Lowers `plan` against `ctx`, binding its transient refs to `*regs`, and
@@ -76,9 +42,10 @@ Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
   return RunPlan(physical, ctx, regs.data());
 }
 
-void EnsureProbedIndexes(const PlanPtr& plan, const EvalContext& ctx) {
+void EnsureProbedIndexes(const PlanPtr& plan, const EvalContext& ctx,
+                         PreStateIndexes* pre_state) {
   std::vector<const Relation*> regs;
-  LowerWithIndexes(plan, ctx, &regs);
+  CollectPreStateIndexes(LowerWithIndexes(plan, ctx, &regs), pre_state);
 }
 
 }  // namespace idivm

@@ -15,53 +15,29 @@
 #define IDIVM_ALGEBRA_EVALUATOR_H_
 
 #include <map>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/algebra/plan.h"
 #include "src/storage/database.h"
 #include "src/types/relation.h"
-#include "src/types/row_index.h"
 
 namespace idivm {
 
-// A materialized relation with on-demand hash indexes that charges the same
-// costs as a stored Table. Used for reconstructed pre-state tables.
-class IndexedRelation {
- public:
-  IndexedRelation(Relation data, AccessStats* stats);
-
-  // Full scan; charges one tuple read per row.
-  Relation ScanCounted() const;
-
-  // Rows whose `columns` equal `key`; charges 1 index lookup + 1 read per
-  // returned row.
-  std::vector<Row> Probe(const std::vector<size_t>& columns,
-                         const Row& key) const;
-
- private:
-  // Finds or builds the index on `columns`. The build is serialized so
-  // concurrent script steps can probe the same pre-state relation; a built
-  // index is immutable (the relation never changes), so probing it after
-  // the lookup needs no lock.
-  const RowIndex& GetOrBuildIndex(const std::vector<size_t>& columns) const;
-
-  Relation data_;
-  AccessStats* stats_;
-  // unique_ptr keeps IndexedRelation movable despite the mutex.
-  std::unique_ptr<std::mutex> index_mutex_ = std::make_unique<std::mutex>();
-  mutable std::map<std::vector<size_t>, RowIndex> indexes_;
-};
+// Per stored table read in pre-state, the column offsets each pre-state
+// probe leaf looks it up on (none when it is only scanned).
+using PreStateIndexes = std::map<std::string, std::set<std::vector<size_t>>>;
 
 // Everything a plan may reference during evaluation.
 struct EvalContext {
   // Stored tables in post-state; never null.
   Database* db = nullptr;
-  // Reconstructed pre-state for modified tables; tables not present here are
-  // identical in pre- and post-state. May be null (no pre-state scans).
-  const std::map<std::string, IndexedRelation>* pre_state = nullptr;
+  // The reconstructed pre-state of each table changed this epoch, a Table
+  // its engine owns and indexed when the engine was built; a table not
+  // here is identical in pre- and post-state. May be null (no pre-state
+  // reads).
+  const std::map<std::string, Table*>* pre_state = nullptr;
   // Transient named relations (i-diff / t-diff instances). Reads are free.
   std::map<std::string, const Relation*> transient;
   // Tables that received updates/deletes this round: CoalesceProbe nodes
@@ -71,15 +47,19 @@ struct EvalContext {
 };
 
 // Evaluates `plan` to a materialized relation: lowers it against `ctx`'s
-// stored schemas and transient bindings, builds the indexes it probes, then
-// runs it. The plan must lower (LowerPlan): a missing table or column, or a
-// ref `ctx` does not bind with the ref's columns, fails a check before any
-// row is read. Never runs beside an epoch.
+// stored schemas and transient bindings, builds the stored-table indexes
+// it probes, then runs it. The plan must lower (LowerPlan): a missing table
+// or column, or a ref `ctx` does not bind with the ref's columns, fails a
+// check before any row is read. A pre-state table must already have the
+// indexes its probes use. Never runs beside an epoch.
 Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx);
 
 // Builds, charge-free, every stored-table index `plan` probes once lowered
-// against `ctx`, so an engine can build them before its first epoch.
-void EnsureProbedIndexes(const PlanPtr& plan, const EvalContext& ctx);
+// against `ctx`, and adds to `*pre_state` the tables it reads in pre-state
+// with the columns it probes them on, so an engine can build both before
+// its first epoch.
+void EnsureProbedIndexes(const PlanPtr& plan, const EvalContext& ctx,
+                         PreStateIndexes* pre_state);
 
 }  // namespace idivm
 

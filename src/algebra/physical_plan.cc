@@ -567,20 +567,19 @@ class Runner {
   Relation Run() { return Eval(plan_.root).Take(); }
 
  private:
-  // Resolved on first use, so a table the plan never reaches is never
-  // looked up; a missing one fails the database's check.
-  Table& StoredTable(int id) {
+  // The table a scan or probe leaf reads: a changed table's reconstructed
+  // pre-state for a pre-state leaf, else the stored table (an unchanged
+  // table's pre-state is its post-state). Stored tables are resolved on
+  // first use, so a table the plan never reaches is never looked up; a
+  // missing one fails the database's check.
+  Table& LeafTable(int id, bool pre_state) {
+    if (pre_state && ctx_.pre_state != nullptr) {
+      const auto it = ctx_.pre_state->find(plan_.tables[id]);
+      if (it != ctx_.pre_state->end()) return *it->second;
+    }
     Table*& table = tables_[id];
     if (table == nullptr) table = &ctx_.db->GetTable(plan_.tables[id]);
     return *table;
-  }
-
-  // The reconstructed pre-state of a table, or null when it is unchanged
-  // (pre == post).
-  const IndexedRelation* PreState(int table_id) const {
-    if (ctx_.pre_state == nullptr) return nullptr;
-    const auto it = ctx_.pre_state->find(plan_.tables[table_id]);
-    return it == ctx_.pre_state->end() ? nullptr : &it->second;
   }
 
   // Keyed lookup through a probe path; rows in the subtree's output
@@ -588,14 +587,9 @@ class Runner {
   std::vector<Row> DoProbe(int idx, const Row& key) {
     const ProbeOp& op = plan_.probes[idx];
     switch (op.kind) {
-      case ProbeOp::Kind::kScan: {
-        if (op.pre_state) {
-          if (const IndexedRelation* pre = PreState(op.table_id)) {
-            return pre->Probe(op.key_cols, key);
-          }
-        }
-        return StoredTable(op.table_id).LookupWhereEquals(op.key_cols, key);
-      }
+      case ProbeOp::Kind::kScan:
+        return LeafTable(op.table_id, op.pre_state)
+            .LookupWhereEquals(op.key_cols, key);
       case ProbeOp::Kind::kSelect: {
         std::vector<Row> rows = DoProbe(op.child0, key);
         std::vector<Row> out;
@@ -905,12 +899,7 @@ class Runner {
     const PlanOp& op = plan_.ops[idx];
     switch (op.kind) {
       case PlanOp::Kind::kScan:
-        if (op.pre_state) {
-          if (const IndexedRelation* pre = PreState(op.table_id)) {
-            return OpResult(pre->ScanCounted());
-          }
-        }
-        return OpResult(StoredTable(op.table_id).ScanAll());
+        return OpResult(LeafTable(op.table_id, op.pre_state).ScanAll());
       case PlanOp::Kind::kSlotRef:
         return OpResult(regs_[op.slot]);
       case PlanOp::Kind::kEmptyRef:
@@ -993,16 +982,15 @@ void CollectProbedIndexes(const PhysicalPlan& plan, IndexSet* out) {
   }
 }
 
-void CollectPreStateTables(const PhysicalPlan& plan,
-                           std::set<std::string>* out) {
+void CollectPreStateIndexes(const PhysicalPlan& plan, PreStateIndexes* out) {
   for (const PlanOp& op : plan.ops) {
     if (op.kind == PlanOp::Kind::kScan && op.pre_state) {
-      out->insert(plan.tables[op.table_id]);
+      (*out)[plan.tables[op.table_id]];
     }
   }
   for (const ProbeOp& op : plan.probes) {
     if (op.kind == ProbeOp::Kind::kScan && op.pre_state) {
-      out->insert(plan.tables[op.table_id]);
+      (*out)[plan.tables[op.table_id]].insert(op.key_cols);
     }
   }
 }

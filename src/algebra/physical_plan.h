@@ -150,12 +150,12 @@ using IndexSet = std::set<std::pair<std::string, std::vector<size_t>>>;
 // state leaves included (an unchanged table serves its pre-state probes).
 void CollectProbedIndexes(const PhysicalPlan& plan, IndexSet* out);
 
-// Adds to `out` the stored tables `plan` reads in pre-state.
-void CollectPreStateTables(const PhysicalPlan& plan,
-                           std::set<std::string>* out);
+// Adds to `out` the stored tables `plan` reads in pre-state, with the
+// columns its pre-state probe leaves look them up on.
+void CollectPreStateIndexes(const PhysicalPlan& plan, PreStateIndexes* out);
 
 // Runs `plan`. kSlotRef ops read `regs`; `ctx` supplies the stored tables,
-// the pre-state relations and the assist-unsafe set. Each intermediate
+// the pre-state tables and the assist-unsafe set. Each intermediate
 // result is freed as soon as its parent has consumed it.
 Relation RunPlan(const PhysicalPlan& plan, const EvalContext& ctx,
                  const Relation* const* regs);

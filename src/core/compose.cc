@@ -528,10 +528,10 @@ CompiledView CompileView(const std::string& view_name, const PlanPtr& plan,
   out.plan = annotated.plan;
   out.view_ids = annotated.IdsOf(annotated.plan.get());
   out.view_schema = InferSchema(annotated.plan, db);
-  out.base_schemas = GenerateBaseDiffSchemas(annotated, db);
+  const GeneratedDiffSchemas base_schemas =
+      GenerateBaseDiffSchemas(annotated, db);
 
-  Composer composer(&db, &annotated, view_name, &out.base_schemas, options,
-                    &out);
+  Composer composer(&db, &annotated, view_name, &base_schemas, options, &out);
   PlanPtr post_plan;
   PlanPtr pre_plan;
   std::vector<NodeDiff> root_diffs =

@@ -3,8 +3,8 @@
 // along the way, then materialize the view (and caches) in the database.
 //
 // Composition walks the ID-annotated plan bottom-up. Base-table scans
-// contribute the generated i-diff schemas (bound to instances by the
-// modification log at maintenance time); every other operator instantiates
+// contribute the generated i-diff schemas (input bindings, filled from the
+// net changes at maintenance time); every other operator instantiates
 // its propagation rules against the diffs arriving from below. Below each
 // aggregation operator an intermediate cache is materialized (Ex. 4.6); the
 // incoming diffs are applied to it with RETURNING so the blocking γ rules
@@ -48,8 +48,8 @@ struct CompilerOptions {
   RuleOptions rules;
 };
 
-// A base-table i-diff the script expects as input, to be populated by the
-// i-diff instance generator from the modification log.
+// A base-table i-diff the script expects as input, which epoch setup fills
+// from the net changes of its table (exec::RouteInputs).
 struct InputDiffBinding {
   std::string name;         // transient relation name in the script
   std::string table;        // base table the diff describes
@@ -61,7 +61,6 @@ struct CompiledView {
   PlanPtr plan;                        // ID-annotated plan
   std::vector<std::string> view_ids;   // key of the materialized view
   Schema view_schema;
-  GeneratedDiffSchemas base_schemas;
   std::vector<InputDiffBinding> input_bindings;
   DeltaScript script;
   RuleDag dag;

@@ -35,6 +35,9 @@ std::string MaintainResult::ToString() const {
                 " dummy (overestimated) tuples");
 }
 
+namespace {
+
+// Reverse-applies a table's net changes to its post-state contents.
 Relation ReconstructPreState(const Table& table,
                              const std::vector<Modification>& net) {
   Relation post = table.SnapshotUncounted();
@@ -68,6 +71,37 @@ Relation ReconstructPreState(const Table& table,
   return pre;
 }
 
+}  // namespace
+
+std::map<std::string, Table> MakePreStateTables(
+    Database* db, const PreStateIndexes& indexes) {
+  std::map<std::string, Table> out;
+  for (const auto& [name, column_sets] : indexes) {
+    const Table& stored = db->GetTable(name);
+    Table& table = out.try_emplace(name, name, stored.schema(),
+                                   stored.key_columns(), &db->stats())
+                       .first->second;
+    for (const std::vector<size_t>& columns : column_sets) {
+      table.EnsureIndex(columns);
+    }
+  }
+  return out;
+}
+
+std::map<std::string, Table*> LoadPreState(
+    const Database& db,
+    const std::map<std::string, std::vector<Modification>>& net_changes,
+    std::map<std::string, Table>* tables) {
+  std::map<std::string, Table*> out;
+  for (auto& [name, table] : *tables) {
+    const auto it = net_changes.find(name);
+    if (it == net_changes.end()) continue;  // unchanged: pre == post
+    table.BulkLoadUncounted(ReconstructPreState(db.GetTable(name), it->second));
+    out.emplace(name, &table);
+  }
+  return out;
+}
+
 Maintainer::Maintainer(Database* db, CompiledView view)
     : db_(db),
       view_(std::move(view)),
@@ -76,6 +110,7 @@ Maintainer::Maintainer(Database* db, CompiledView view)
   for (const auto& [table, columns] : program_.value()->indexes) {
     db_->GetTable(table).EnsureIndex(columns);
   }
+  pre_state_ = MakePreStateTables(db_, program_.value()->pre_state);
 }
 
 MaintainResult Maintainer::Maintain(
@@ -100,27 +135,18 @@ Status Maintainer::TryMaintain(
   const int epoch_tid =
       trace != nullptr ? obs::TraceRecorder::CurrentThreadId() : 0;
 
-  // Epoch setup — i-diff instance population and pre-state reconstruction —
-  // runs under its own arena and is traced as a "setup" span, so the
-  // per-span AccessStats deltas of an epoch sum exactly to what the epoch
-  // publishes to the database-wide counters.
+  // Epoch setup — input routing and pre-state reconstruction — runs under
+  // its own arena and is traced as a "setup" span, so the per-span
+  // AccessStats deltas of an epoch sum exactly to what the epoch publishes
+  // to the database-wide counters.
+  const exec::CompiledProgram& program = *program_.value();
   StatsArena setup_arena;
-  std::map<std::string, DiffInstance> instances;
-  std::map<std::string, IndexedRelation> pre_state;
+  std::vector<Relation> inputs;
+  std::map<std::string, Table*> pre_state;
   {
     ScopedStatsArena setup_scope(&setup_arena);
-    // Input diff instances.
-    instances = GenerateDiffInstances(view_, net_changes, *db_);
-    // Pre-state reconstruction, only for tables the script reads in
-    // pre-state.
-    for (const std::string& table : program_.value()->pre_state_tables) {
-      const auto it = net_changes.find(table);
-      if (it == net_changes.end()) continue;  // unchanged: pre == post
-      pre_state.emplace(table, IndexedRelation(ReconstructPreState(
-                                                   db_->GetTable(table),
-                                                   it->second),
-                                               &db_->stats()));
-    }
+    inputs = exec::RouteInputs(program, net_changes);
+    pre_state = LoadPreState(*db_, net_changes, &pre_state_);
   }
   const AccessStats setup_accesses = setup_arena.Sum(&db_->stats());
   const int64_t setup_end_us = trace != nullptr ? trace->NowMicros() : 0;
@@ -141,14 +167,13 @@ Status Maintainer::TryMaintain(
   static obs::Counter& hits =
       obs::GlobalCounter("idivm_program_cache_hits_total");
   hits.Increment();
-  const exec::CompiledProgram& program = *program_.value();
   const std::vector<StepAccess>& steps = program.steps;
   const size_t n = steps.size();
   std::vector<StepRun> runs(n);
   exec::ExecEnv env;
   env.db = db_;
   env.program = &program;
-  env.instances = &instances;
+  env.inputs = &inputs;
   env.pre_state = &pre_state;
   env.assist_unsafe = &assist_unsafe;
   env.undo = &undo;

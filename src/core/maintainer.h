@@ -1,21 +1,21 @@
 // View-maintenance-time execution (Section 3, blue components): the ∆-script
-// executor. Takes the net base-table changes, populates the input i-diff
-// instances, reconstructs pre-states where the script needs them, and runs
-// the script, attributing costs and wall time to the phases of Fig. 12
-// (diff computation / cache update / view update).
+// executor. Takes the net base-table changes, routes them into the input
+// i-diff registers, refills the pre-state tables the script reads, and
+// runs the script, attributing costs and wall time to the phases of
+// Fig. 12 (diff computation / cache update / view update).
 //
 // A maintainer compiles its view's script into a CompiledProgram (src/exec)
-// and builds the indexes it probes when it is built; every epoch runs that
-// program on the register VM. A script that does not compile is rejected
-// then, before any epoch. With MaintainOptions::threads > 1 the VM
-// schedules the program over the rule DAG (Fig. 6): instructions whose
-// input diffs are ready and whose stored-table accesses do not conflict run
-// concurrently on a thread pool, so the independent per-base-table diff
-// chains of the script proceed in parallel. Blocking (aggregation) steps act
-// as barriers. Per-step costs accumulate in thread-private StatsArenas and
-// are merged single-threaded in script order, so view contents and every
-// AccessStats counter are identical to sequential execution (asserted by
-// parallel_maintain_test).
+// and builds the indexes it probes, pre-state tables included, when it is
+// built; every epoch runs that program on the register VM. A script that
+// does not compile is rejected then, before any epoch. With
+// MaintainOptions::threads > 1 the VM schedules the program over the rule
+// DAG (Fig. 6): instructions whose input diffs are ready and whose
+// stored-table accesses do not conflict run concurrently on a thread pool,
+// so the independent per-base-table diff chains of the script proceed in
+// parallel. Blocking (aggregation) steps act as barriers. Per-step costs
+// accumulate in thread-private StatsArenas and are merged single-threaded
+// in script order, so view contents and every AccessStats counter are
+// identical to sequential execution (asserted by parallel_maintain_test).
 
 #ifndef IDIVM_CORE_MAINTAINER_H_
 #define IDIVM_CORE_MAINTAINER_H_
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "src/algebra/evaluator.h"
 #include "src/core/compose.h"
 #include "src/core/modification_log.h"
 #include "src/diff/apply.h"
@@ -104,10 +105,22 @@ struct MaintainResult {
   std::string ToString() const;
 };
 
-// Reverse-applies a table's net changes to its post-state contents,
-// reconstructing its pre-state (DESIGN.md "Pre-state reconstruction").
-Relation ReconstructPreState(const Table& table,
-                             const std::vector<Modification>& net);
+// The pre-state tables of an engine whose plans read `indexes` in
+// pre-state: per table, an empty Table with its stored table's name,
+// schema and key, charging `db`'s stats, indexed on each listed column
+// set. The engine owns them for its lifetime: a parallel refresh publishes
+// the charges of an epoch's pre-state reads after that epoch returns.
+std::map<std::string, Table> MakePreStateTables(Database* db,
+                                                const PreStateIndexes& indexes);
+
+// Refills each of `tables` whose stored table changed with its pre-state,
+// reconstructed by reverse-applying its net changes to its post-state
+// (DESIGN.md "Pre-state reconstruction"), and returns the refilled tables
+// by name: the epoch's EvalContext::pre_state.
+std::map<std::string, Table*> LoadPreState(
+    const Database& db,
+    const std::map<std::string, std::vector<Modification>>& net_changes,
+    std::map<std::string, Table>* tables);
 
 class Maintainer {
  public:
@@ -168,6 +181,9 @@ class Maintainer {
   // maintainers, so a kept program never outlives the schemas it was
   // compiled against.
   StatusOr<std::shared_ptr<const exec::CompiledProgram>> program_;
+  // One table per table the program reads in pre-state, refilled by each
+  // epoch that changed it.
+  std::map<std::string, Table> pre_state_;
   // The program's per-rule counters, idivm_rule_accesses_total{view,rule},
   // one per step. Bound by the first committed epoch — a failed epoch
   // registers none, as when each was looked up at its increment — and held:

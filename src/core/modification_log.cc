@@ -1,7 +1,6 @@
 #include "src/core/modification_log.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/common/check.h"
 #include "src/common/str_util.h"
@@ -100,96 +99,6 @@ ModificationLogger::NetChanges() const {
     std::vector<Modification> net =
         ComputeNetChanges(t.schema(), t.key_indices(), mods);
     if (!net.empty()) out[table] = std::move(net);
-  }
-  return out;
-}
-
-namespace {
-
-// Attributes whose value (or type) actually changed in an update.
-std::set<std::string> ChangedAttributes(const Schema& schema,
-                                        const Modification& mod) {
-  std::set<std::string> out;
-  for (size_t i = 0; i < schema.num_columns(); ++i) {
-    if (mod.pre[i].Compare(mod.post[i]) != 0 ||
-        mod.pre[i].type() != mod.post[i].type()) {
-      out.insert(schema.column(i).name);
-    }
-  }
-  return out;
-}
-
-// Picks, among a table's update schemas, the one with the *smallest* post
-// set covering all changed attributes. Routing each update to exactly one
-// schema keeps every i-diff's implicit invariant ("attributes outside the
-// post set are unchanged, so their pre values are also their post values")
-// true — the basis of the diff-only rule branches.
-const DiffSchema* ChooseUpdateSchema(
-    const std::vector<DiffSchema>& schemas,
-    const std::set<std::string>& changed) {
-  const DiffSchema* best = nullptr;
-  for (const DiffSchema& schema : schemas) {
-    if (schema.type() != DiffType::kUpdate) continue;
-    bool covers = true;
-    for (const std::string& attr : changed) {
-      if (!schema.HasPost(attr)) {
-        covers = false;
-        break;
-      }
-    }
-    if (!covers) continue;
-    if (best == nullptr ||
-        schema.post_columns().size() < best->post_columns().size()) {
-      best = &schema;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
-std::map<std::string, DiffInstance> GenerateDiffInstances(
-    const CompiledView& view,
-    const std::map<std::string, std::vector<Modification>>& net_changes,
-    const Database& db) {
-  std::map<std::string, DiffInstance> out;
-  for (const InputDiffBinding& binding : view.input_bindings) {
-    DiffInstance instance(binding.schema);
-    const auto it = net_changes.find(binding.table);
-    if (it != net_changes.end()) {
-      const Table& table = db.GetTable(binding.table);
-      const Schema& schema = table.schema();
-      const DiffSchema& ds = binding.schema;
-      const std::vector<size_t> id_cols = schema.ColumnIndices(ds.id_columns());
-      const std::vector<size_t> pre_cols =
-          schema.ColumnIndices(ds.pre_columns());
-      const std::vector<size_t> post_cols =
-          schema.ColumnIndices(ds.post_columns());
-      for (const Modification& mod : it->second) {
-        if (mod.kind != ds.type()) continue;
-        if (mod.kind == DiffType::kUpdate) {
-          // Route the update to exactly one schema: the narrowest one
-          // covering all actually-changed attributes.
-          const std::set<std::string> changed =
-              ChangedAttributes(schema, mod);
-          if (changed.empty()) continue;
-          const DiffSchema* chosen = ChooseUpdateSchema(
-              view.base_schemas.For(binding.table), changed);
-          IDIVM_CHECK(chosen != nullptr,
-                      StrCat("no update i-diff schema covers the changed "
-                             "attributes of ",
-                             binding.table));
-          if (!(*chosen == ds)) continue;
-        }
-        const Row& id_source =
-            mod.kind == DiffType::kDelete ? mod.pre : mod.post;
-        Row row = ProjectRow(id_source, id_cols);
-        for (size_t col : pre_cols) row.push_back(mod.pre[col]);
-        for (size_t col : post_cols) row.push_back(mod.post[col]);
-        instance.Append(std::move(row));
-      }
-    }
-    out.emplace(binding.name, std::move(instance));
   }
   return out;
 }

@@ -1,8 +1,9 @@
 // Data-modification-time machinery (Section 3, green components): the
-// modification logger records base-table changes as they are applied; the
-// i-diff instance generator later converts the log into instances of the
-// schemas precomputed at view-definition time (Section 5), combining
-// multiple modifications of one tuple into a single effective change.
+// modification logger records base-table changes as they are applied and
+// compacts them into net changes, combining multiple modifications of one
+// tuple into a single effective change (Section 5). Each epoch routes the
+// net changes into instances of the schemas precomputed at view-definition
+// time through the offsets its compiled program records (exec::RouteInputs).
 
 #ifndef IDIVM_CORE_MODIFICATION_LOG_H_
 #define IDIVM_CORE_MODIFICATION_LOG_H_
@@ -11,9 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/compose.h"
 #include "src/diff/compaction.h"
-#include "src/diff/diff_instance.h"
 #include "src/storage/database.h"
 
 namespace idivm {
@@ -94,15 +93,6 @@ class ModificationLogger {
   ModificationJournal* journal_ = nullptr;
   std::map<std::string, std::vector<Modification>> log_;
 };
-
-// Populates instances of the compiled view's input i-diff schemas from the
-// net changes: inserts/deletes go to the single insert/delete schema; an
-// update lands in *every* update schema containing at least one actually
-// modified attribute (Section 5, "Populating i-diff instances").
-std::map<std::string, DiffInstance> GenerateDiffInstances(
-    const CompiledView& view,
-    const std::map<std::string, std::vector<Modification>>& net_changes,
-    const Database& db);
 
 }  // namespace idivm
 

@@ -177,16 +177,6 @@ const std::vector<DiffSchema>& GeneratedDiffSchemas::For(
   return it == per_table.end() ? kEmpty : it->second;
 }
 
-std::string GeneratedDiffSchemas::ToString() const {
-  std::string out;
-  for (const auto& [table, schemas] : per_table) {
-    for (const DiffSchema& schema : schemas) {
-      out += schema.ToString() + "\n";
-    }
-  }
-  return out;
-}
-
 GeneratedDiffSchemas GenerateBaseDiffSchemas(const IdAnnotatedPlan& view,
                                              const Database& db) {
   std::map<std::string, std::vector<std::set<std::string>>> condition_groups;

@@ -42,8 +42,6 @@ struct GeneratedDiffSchemas {
 
   // All schemas for one table (empty vector if the table is not mentioned).
   const std::vector<DiffSchema>& For(const std::string& table) const;
-
-  std::string ToString() const;
 };
 
 GeneratedDiffSchemas GenerateBaseDiffSchemas(const IdAnnotatedPlan& view,

@@ -872,9 +872,6 @@ LoadResult LoadCompiledView(const std::string& text, const Database& db) {
     view.input_bindings.push_back(std::move(binding));
   }
   if (!reader.Close()) return fail("bad bindings");
-  for (const InputDiffBinding& binding : view.input_bindings) {
-    view.base_schemas.per_table[binding.table].push_back(binding.schema);
-  }
 
   if (!reader.Open("registry")) return fail("missing registry");
   while (reader.Open("entry")) {

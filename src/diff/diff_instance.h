@@ -22,7 +22,6 @@ class DiffInstance {
 
   const DiffSchema& schema() const { return schema_; }
   const Relation& data() const { return data_; }
-  Relation& mutable_data() { return data_; }
   size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 

@@ -1,5 +1,6 @@
 #include "src/exec/compiler.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <set>
@@ -27,13 +28,10 @@ class ScriptCompiler {
   ScriptCompiler(CompiledProgram* p, const Database& db) : p_(p), db_(db) {}
 
   Status Run(const std::vector<InputDiffBinding>& input_bindings) {
-    // Input bindings are instantiated every epoch (possibly empty), so
-    // their names are bound from the start.
+    // Input bindings are routed every epoch (possibly empty), so their
+    // names are bound from the start.
     for (const InputDiffBinding& binding : input_bindings) {
-      IDIVM_RETURN_IF_ERROR(CheckInputBinding(binding));
-      int slot = -1;
-      IDIVM_RETURN_IF_ERROR(
-          Produce(binding.name, binding.schema.relation_schema(), &slot));
+      IDIVM_RETURN_IF_ERROR(BindInput(binding));
     }
     const DeltaScript& script = p_->script;
     const size_t n = script.steps.size();
@@ -119,11 +117,11 @@ class ScriptCompiler {
  private:
   // Creates (or finds) the slot register for `name`.
   int Slot(const std::string& name, const Schema& schema) {
-    const auto it = p_->slot_index.find(name);
-    if (it != p_->slot_index.end()) return it->second;
+    const auto it = slot_index_.find(name);
+    if (it != slot_index_.end()) return it->second;
     const int id = static_cast<int>(p_->slots.size());
     p_->slots.push_back(CompiledProgram::SlotDef{name, schema});
-    p_->slot_index.emplace(name, id);
+    slot_index_.emplace(name, id);
     return id;
   }
 
@@ -131,8 +129,8 @@ class ScriptCompiler {
   // step on. Readers bind column offsets to a register, so a name is only
   // ever produced with one column list.
   Status Produce(const std::string& name, const Schema& schema, int* slot) {
-    const auto it = p_->slot_index.find(name);
-    if (it != p_->slot_index.end() &&
+    const auto it = slot_index_.find(name);
+    if (it != slot_index_.end() &&
         p_->slots[it->second].schema.ColumnNames() != schema.ColumnNames()) {
       return CorruptScriptError(
           StrCat("transient ", name, " produced as both ",
@@ -144,21 +142,44 @@ class ScriptCompiler {
     return OkStatus();
   }
 
-  // Epoch setup fills an input diff from its base table's changed rows, so
-  // the table must have every column the diff names.
-  Status CheckInputBinding(const InputDiffBinding& binding) {
+  // Binds an input diff to its register and to the offsets, in its base
+  // table, of the columns it names, and adds it to the table's routes. A
+  // name bound twice would fill one register twice.
+  Status BindInput(const InputDiffBinding& binding) {
     const DiffSchema& ds = binding.schema;
-    for (const auto* cols :
-         {&ds.id_columns(), &ds.pre_columns(), &ds.post_columns()}) {
-      for (const std::string& col : *cols) {
+    if (slot_index_.count(binding.name) > 0) {
+      return CorruptScriptError(
+          StrCat("input diff ", binding.name, " bound twice"));
+    }
+    InputRoute input;
+    input.type = ds.type();
+    IDIVM_RETURN_IF_ERROR(
+        Produce(binding.name, ds.relation_schema(), &input.slot));
+    for (const auto& [names, offsets] :
+         {std::pair(&ds.id_columns(), &input.id_cols),
+          std::pair(&ds.pre_columns(), &input.pre_cols),
+          std::pair(&ds.post_columns(), &input.post_cols)}) {
+      for (const std::string& col : *names) {
         if (!db_.HasTable(binding.table) ||
             !db_.GetTable(binding.table).schema().HasColumn(col)) {
           return CorruptScriptError(StrCat("input diff ", binding.name,
                                            ": no column ", col, " in table ",
                                            binding.table));
         }
+        offsets->push_back(
+            db_.GetTable(binding.table).schema().ColumnIndex(col));
       }
     }
+    TableRoutes& routes = p_->input_tables[binding.table];
+    routes.inputs.push_back(p_->inputs.size());
+    if (ds.type() == DiffType::kUpdate) {
+      // The update inputs of one post set share its route.
+      std::vector<std::vector<size_t>>& posts = routes.update_posts;
+      const auto it = std::find(posts.begin(), posts.end(), input.post_cols);
+      input.post_set = static_cast<int>(it - posts.begin());
+      if (it == posts.end()) posts.push_back(input.post_cols);
+    }
+    p_->inputs.push_back(std::move(input));
     return OkStatus();
   }
 
@@ -188,7 +209,7 @@ class ScriptCompiler {
       if (!plan.ok()) return InStep(what, plan.status());
       op->plan = std::move(plan).value();
       CollectProbedIndexes(op->plan, &p_->indexes);
-      CollectPreStateTables(op->plan, &p_->pre_state_tables);
+      CollectPreStateIndexes(op->plan, &p_->pre_state);
       if (cs.raw_relation) {
         return Produce(cs.out_name, InferSchema(cs.query, db_),
                        &op->out_slot);
@@ -307,7 +328,7 @@ class ScriptCompiler {
     }
     b->probe = std::move(plan).value();
     CollectProbedIndexes(b->probe, &p_->indexes);
-    CollectPreStateTables(b->probe, &p_->pre_state_tables);
+    CollectPreStateIndexes(b->probe, &p_->pre_state);
     if (!b->opcache_key_cols.empty()) {
       p_->indexes.emplace(ag.opcache_table, b->opcache_key_cols);
     }
@@ -320,6 +341,8 @@ class ScriptCompiler {
 
   CompiledProgram* p_;
   const Database& db_;
+  // Each slot register's name.
+  std::map<std::string, int> slot_index_;
   // Transient names bound at the current step, with the schema the
   // runtime relation will carry.
   std::map<std::string, Schema> bound_;

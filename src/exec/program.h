@@ -3,18 +3,17 @@
 //
 // A CompiledProgram lowers a DeltaScript into a flat instruction list over
 // slot registers (one per transient relation name). Everything that depends
-// only on the script and the stored schemas — each compute step's physical
-// plan (physical_plan.h), diff-schema lookups, each γ step's bindings and
-// recompute probe, each APPLY's column offsets, step labels and
-// footprints and the stored-table indexes it probes — is resolved once,
-// when the maintainer is built. A script that does not compile completely
-// has no program.
+// only on the script and the stored schemas — each input diff's register
+// and column offsets, each compute step's physical plan (physical_plan.h),
+// diff-schema lookups, each γ step's bindings and recompute probe, each
+// APPLY's column offsets, step labels and footprints, and the stored-table
+// and pre-state indexes it probes — is resolved once, when the maintainer
+// is built. A script that does not compile completely has no program.
 
 #ifndef IDIVM_EXEC_PROGRAM_H_
 #define IDIVM_EXEC_PROGRAM_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -61,6 +60,29 @@ struct MicroOp {
   AggregateBindings bindings;
 };
 
+// Where epoch setup puts one input diff's rows: its register, and the
+// offsets in its base table of its id, pre and post columns. An update
+// input also names its post set among its table's (TableRoutes).
+struct InputRoute {
+  int slot = -1;
+  DiffType type = DiffType::kInsert;
+  int post_set = -1;
+  std::vector<size_t> id_cols;
+  std::vector<size_t> pre_cols;
+  std::vector<size_t> post_cols;
+};
+
+// One base table's inputs, as indexes into CompiledProgram::inputs, and
+// the distinct post sets of its update inputs, both in binding order. An
+// insert or a delete goes to every input of its kind; an update to every
+// input of the narrowest post set covering the columns it changed (the
+// first on a tie), so each update i-diff's unchanged attributes really
+// are unchanged.
+struct TableRoutes {
+  std::vector<size_t> inputs;
+  std::vector<std::vector<size_t>> update_posts;
+};
+
 // One schedulable unit: a maximal fused run of micro-ops. Its footprint is
 // the union of the member steps' footprints, so the DAG scheduler keeps
 // every edge the unfused steps had.
@@ -86,7 +108,11 @@ struct CompiledProgram {
     Schema schema;
   };
   std::vector<SlotDef> slots;
-  std::map<std::string, int> slot_index;
+
+  // Per input binding, in binding order, and per base table the bindings
+  // describe: how epoch setup routes net changes into registers.
+  std::vector<InputRoute> inputs;
+  std::map<std::string, TableRoutes> input_tables;
 
   // Per original script step: its label (fault sites, per-rule counters,
   // spans), cost-model phase and footprint.
@@ -97,8 +123,9 @@ struct CompiledProgram {
   // leaves, update/delete APPLY match columns, γ operator-cache keys —
   // built by the maintainer, so an epoch never creates one.
   IndexSet indexes;
-  // The stored tables its plans read in pre-state.
-  std::set<std::string> pre_state_tables;
+  // The stored tables its plans read in pre-state, each with the columns
+  // its pre-state leaves probe, built on the maintainer's pre-state tables.
+  PreStateIndexes pre_state;
 
   int64_t fused_steps = 0;  // steps.size() - instructions.size()
 };

@@ -1,5 +1,6 @@
 #include "src/exec/vm.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -154,6 +155,65 @@ Status RunInstruction(ExecState& st, const Instruction& inst) {
 
 }  // namespace
 
+std::vector<Relation> RouteInputs(
+    const CompiledProgram& program,
+    const std::map<std::string, std::vector<Modification>>& net_changes) {
+  std::vector<Relation> out;
+  out.reserve(program.inputs.size());
+  for (const InputRoute& input : program.inputs) {
+    out.emplace_back(program.slots[input.slot].schema);
+  }
+  std::vector<size_t> changed;
+  for (const auto& [table, routes] : program.input_tables) {
+    const auto it = net_changes.find(table);
+    if (it == net_changes.end()) continue;
+    for (const Modification& mod : it->second) {
+      int post_set = -1;
+      if (mod.kind == DiffType::kUpdate) {
+        // The columns whose value or type changed.
+        changed.clear();
+        for (size_t c = 0; c < mod.post.size(); ++c) {
+          if (mod.pre[c].Compare(mod.post[c]) != 0 ||
+              mod.pre[c].type() != mod.post[c].type()) {
+            changed.push_back(c);
+          }
+        }
+        if (changed.empty() || routes.update_posts.empty()) continue;
+        for (size_t k = 0; k < routes.update_posts.size(); ++k) {
+          const std::vector<size_t>& post = routes.update_posts[k];
+          const bool covers =
+              std::all_of(changed.begin(), changed.end(), [&](size_t c) {
+                return std::find(post.begin(), post.end(), c) != post.end();
+              });
+          if (covers &&
+              (post_set < 0 ||
+               post.size() < routes.update_posts[post_set].size())) {
+            post_set = static_cast<int>(k);
+          }
+        }
+        IDIVM_CHECK(post_set >= 0,
+                    StrCat("no update i-diff schema covers the changed "
+                           "attributes of ",
+                           table));
+      }
+      const Row& id_source =
+          mod.kind == DiffType::kDelete ? mod.pre : mod.post;
+      for (const size_t i : routes.inputs) {
+        const InputRoute& input = program.inputs[i];
+        if (input.type != mod.kind || input.post_set != post_set) continue;
+        Row row;
+        row.reserve(input.id_cols.size() + input.pre_cols.size() +
+                    input.post_cols.size());
+        for (size_t c : input.id_cols) row.push_back(id_source[c]);
+        for (size_t c : input.pre_cols) row.push_back(mod.pre[c]);
+        for (size_t c : input.post_cols) row.push_back(mod.post[c]);
+        out[i].Append(std::move(row));
+      }
+    }
+  }
+  return out;
+}
+
 Status Execute(const ExecEnv& env) {
   const CompiledProgram& p = *env.program;
   ExecState st;
@@ -169,10 +229,8 @@ Status Execute(const ExecEnv& env) {
     st.regs.emplace_back(slot.schema);
     st.reg_ptrs.push_back(&st.regs.back());
   }
-  for (auto& [name, inst] : *env.instances) {
-    const auto it = p.slot_index.find(name);
-    if (it == p.slot_index.end()) continue;
-    st.regs[it->second] = std::move(inst.mutable_data());
+  for (size_t i = 0; i < p.inputs.size(); ++i) {
+    st.regs[p.inputs[i].slot] = std::move((*env.inputs)[i]);
   }
 
   const size_t m = p.instructions.size();

@@ -17,6 +17,7 @@
 
 #include "src/algebra/evaluator.h"
 #include "src/core/step_access.h"
+#include "src/diff/compaction.h"
 #include "src/diff/diff_instance.h"
 #include "src/exec/program.h"
 #include "src/obs/trace.h"
@@ -36,10 +37,11 @@ namespace exec {
 struct ExecEnv {
   Database* db = nullptr;
   const CompiledProgram* program = nullptr;
-  // The epoch's input diff instances (one per input binding). Execute
-  // moves their rows into the registers, leaving the instances empty.
-  std::map<std::string, DiffInstance>* instances = nullptr;
-  const std::map<std::string, IndexedRelation>* pre_state = nullptr;
+  // The epoch's routed input diffs (RouteInputs), one per program input.
+  // Execute moves each into its register.
+  std::vector<Relation>* inputs = nullptr;
+  // The pre-state tables of the tables changed this epoch.
+  const std::map<std::string, Table*>* pre_state = nullptr;
   const std::set<std::string>* assist_unsafe = nullptr;
   EpochUndo* undo = nullptr;
   FaultInjector* fault = nullptr;
@@ -52,6 +54,14 @@ struct ExecEnv {
       apply_observer = nullptr;
   std::vector<StepRun>* runs = nullptr;
 };
+
+// Routes `net_changes` into one relation per program input, in
+// CompiledProgram::inputs order, each row laid out as its register and
+// rows in modification order (TableRoutes). Reads only column offsets; an
+// update no update schema of its table covers fails a check.
+std::vector<Relation> RouteInputs(
+    const CompiledProgram& program,
+    const std::map<std::string, std::vector<Modification>>& net_changes);
 
 // Runs the program. On error the epoch's partial mutations are already in
 // `undo`; the caller rolls back.

@@ -1,11 +1,11 @@
 // Crash recovery: open the snapshot and the WAL, truncate the log at the
 // first torn or corrupt record, and roll the views forward by replaying
 // the committed tail through the already-compiled ∆-scripts (snapshot →
-// LoadRepository → per-batch GenerateDiffInstances + Maintainer via
-// ViewManager::Refresh). This turns the paper's maintenance-vs-recompute
-// tradeoff into a restart-time win: replay touches only what the diffs
-// touch, while the recompute fallback (RecoverMode::kRecompute)
-// re-materializes every view from the recovered base tables.
+// LoadRepository → one ViewManager::Refresh per batch). This turns the
+// paper's maintenance-vs-recompute tradeoff into a restart-time win:
+// replay touches only what the diffs touch, while the recompute fallback
+// (RecoverMode::kRecompute) re-materializes every view from the recovered
+// base tables.
 
 #ifndef IDIVM_PERSIST_RECOVERY_H_
 #define IDIVM_PERSIST_RECOVERY_H_

@@ -215,10 +215,10 @@ void Table::ForEachRowUncounted(
   }
 }
 
-void Table::BulkLoadUncounted(const Relation& data) {
+void Table::BulkLoadUncounted(Relation data) {
   IDIVM_CHECK(data.schema().ColumnNames() == schema_.ColumnNames(),
               StrCat("bulk load schema mismatch for ", name_));
-  rows_ = data.rows();
+  rows_ = std::move(data.mutable_rows());
   live_.assign(rows_.size(), true);
   free_slots_.clear();
   live_count_ = rows_.size();

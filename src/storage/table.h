@@ -110,8 +110,9 @@ class Table {
   // the relation (snapshot serialization, src/persist).
   void ForEachRowUncounted(const std::function<void(const Row&)>& fn) const;
 
-  // Replaces the entire contents without charging accesses (bulk load).
-  void BulkLoadUncounted(const Relation& data);
+  // Replaces the entire contents without charging accesses (bulk load),
+  // re-indexing every index.
+  void BulkLoadUncounted(Relation data);
 
   // Builds a hash index on the column offsets `columns` unless one exists,
   // charging nothing (the paper's model assumes indices pre-exist at

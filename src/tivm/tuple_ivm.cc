@@ -255,30 +255,35 @@ TupleIvm::TupleIvm(Database* db, const std::string& view_name,
   view.BulkLoadUncounted(Evaluate(plan_, ctx));
 
   // Build what an epoch probes now, outside its timed phases: each
-  // occurrence's delta plan (its other leaves' states do not change the
-  // probe columns) and the recompute probe. The view's t-diffs apply
-  // through its primary key.
-  for (const PlanNode* scan : scan_occurrences_) {
+  // occurrence's delta plan, with every later occurrence in pre-state (the
+  // leaves' states do not change the probe columns), and the recompute
+  // probe. The view's t-diffs apply through its primary key.
+  PreStateIndexes pre_state;
+  for (size_t i = 0; i < scan_occurrences_.size(); ++i) {
+    const PlanNode* scan = scan_occurrences_[i];
     const Relation affected(db_->GetTable(scan->table_name()).schema());
     ctx.transient[kAffectedRef] = &affected;
+    const std::set<const PlanNode*> later(scan_occurrences_.begin() + i + 1,
+                                          scan_occurrences_.end());
     bool contains = false;
     EnsureProbedIndexes(TransformForDelta(spj_plan_, scan, kAffectedRef,
-                                          affected.schema(), {}, &contains),
-                        ctx);
+                                          affected.schema(), later, &contains),
+                        ctx, &pre_state);
   }
   if (root_aggregate_) {
     const Relation keys(key_schema_);
     ctx.transient[kKeysRef] = &keys;
-    EnsureProbedIndexes(recompute_probe_, ctx);
+    EnsureProbedIndexes(recompute_probe_, ctx, &pre_state);
   }
+  pre_state_ = MakePreStateTables(db_, pre_state);
   db_->stats().Reset();
 }
 
 void TupleIvm::RederiveForOccurrence(
     size_t occurrence,
     const std::map<std::string, std::vector<Modification>>& net_changes,
-    const std::map<std::string, IndexedRelation>& pre_state,
-    Relation* out_pre, Relation* out_post) {
+    const std::map<std::string, Table*>& pre_state, Relation* out_pre,
+    Relation* out_post) {
   const PlanNode* target = scan_occurrences_[occurrence];
   const Table& table = db_->GetTable(target->table_name());
   const auto it = net_changes.find(target->table_name());
@@ -409,19 +414,10 @@ MaintainResult TupleIvm::Maintain(
   MaintainResult result;
   Table& view = db_->GetTable(view_name_);
 
-  // Pre-state reconstruction for all modified tables (mixed-state scans).
-  std::map<std::string, IndexedRelation> pre_state;
-  for (const auto& [table_name, net] : net_changes) {
-    bool mentioned = false;
-    for (const PlanNode* scan : scan_occurrences_) {
-      if (scan->table_name() == table_name) mentioned = true;
-    }
-    if (!mentioned) continue;
-    pre_state.emplace(
-        table_name,
-        IndexedRelation(ReconstructPreState(db_->GetTable(table_name), net),
-                        &db_->stats()));
-  }
+  // Pre-state reconstruction for the modified tables the mixed-state
+  // passes read.
+  const std::map<std::string, Table*> pre_state =
+      LoadPreState(*db_, net_changes, &pre_state_);
 
   auto timed = [&](PhaseCost* cost, const auto& fn) {
     const AccessStats before = db_->stats();

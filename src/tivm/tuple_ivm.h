@@ -42,7 +42,7 @@ namespace idivm {
 class TupleIvm {
  public:
   // Creates and materializes the view table `view_name` in `db`, and
-  // builds every index its epochs probe.
+  // builds every index its epochs probe, on stored and pre-state tables.
   TupleIvm(Database* db, const std::string& view_name, const PlanPtr& plan);
 
   const Schema& view_schema() const { return view_schema_; }
@@ -62,8 +62,8 @@ class TupleIvm {
   void RederiveForOccurrence(
       size_t occurrence,
       const std::map<std::string, std::vector<Modification>>& net_changes,
-      const std::map<std::string, IndexedRelation>& pre_state,
-      Relation* out_pre, Relation* out_post);
+      const std::map<std::string, Table*>& pre_state, Relation* out_pre,
+      Relation* out_post);
 
   std::map<std::string, std::set<std::string>> conditional_attrs_;
   std::vector<bool> occurrence_supports_shadows_;
@@ -82,6 +82,9 @@ class TupleIvm {
   // spj_plan_ semijoined with the affected group keys.
   Schema key_schema_;
   PlanPtr recompute_probe_;
+  // One table per table a delta plan may read in pre-state (a later scan
+  // occurrence of a changed table), refilled by each epoch that changed it.
+  std::map<std::string, Table> pre_state_;
 };
 
 }  // namespace idivm

@@ -1,6 +1,6 @@
 // The one hash index, from the key columns of a caller's rows (handed to
-// every probe) to their positions: stored tables' indexes, pre-state
-// relations and hash joins. Power-of-two buckets hold chain heads and
+// every probe) to their positions: the indexes of tables, stored and
+// pre-state, and hash joins. Power-of-two buckets hold chain heads and
 // tails, each position its key hash and next/prev links: a key's positions
 // come back in insertion order (chains append at the tail; regrowth
 // re-links them in order), an erase unlinks in O(1), and a build over n

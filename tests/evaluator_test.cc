@@ -2,8 +2,12 @@
 // probe-path costs (the diff-driven loop plan of Section 6), pre-state
 // scans and short-circuiting of empty diffs.
 
+#include <map>
+#include <string>
+
 #include "gtest/gtest.h"
 #include "src/algebra/evaluator.h"
+#include "src/core/maintainer.h"
 
 namespace idivm {
 namespace {
@@ -324,11 +328,12 @@ TEST_F(EvaluatorTest, StoredLeftSemiJoinProbesPartialKey) {
 }
 
 TEST_F(EvaluatorTest, PreStateScan) {
-  // A pre-state override replaces the stored table for kPre scans only.
-  Relation pre(db_.GetTable("r").schema());
-  pre.Append({Value(int64_t{100}), Value(int64_t{0}), Value(0.0)});
-  std::map<std::string, IndexedRelation> pre_state;
-  pre_state.emplace("r", IndexedRelation(pre, &db_.stats()));
+  // A pre-state table replaces the stored table for kPre scans only.
+  const Table& r = db_.GetTable("r");
+  Table pre(r.name(), r.schema(), r.key_columns(), &db_.stats());
+  pre.BulkLoadUncounted(Relation(
+      r.schema(), {{Value(int64_t{100}), Value(int64_t{0}), Value(0.0)}}));
+  const std::map<std::string, Table*> pre_state = {{"r", &pre}};
   EvalContext ctx;
   ctx.db = &db_;
   ctx.pre_state = &pre_state;
@@ -336,16 +341,51 @@ TEST_F(EvaluatorTest, PreStateScan) {
   EXPECT_EQ(Evaluate(PlanNode::Scan("r", StateTag::kPost), ctx).size(), 12u);
 }
 
+TEST_F(EvaluatorTest, PreStateProbeOnUnindexedColumnsDies) {
+  // A pre-state table has only the indexes its engine declared: a diff
+  // driving probes of r's pre-state on k fails the table's check, naming
+  // the table and the columns, instead of building the index.
+  const Table& r = db_.GetTable("r");
+  Table pre(r.name(), r.schema(), r.key_columns(), &db_.stats());
+  pre.BulkLoadUncounted(r.SnapshotUncounted());
+  const std::map<std::string, Table*> pre_state = {{"r", &pre}};
+  const Schema diff_schema({{"dk", DataType::kInt64}});
+  const Relation diff(diff_schema, {{Value(int64_t{1})}});
+  EvalContext ctx;
+  ctx.db = &db_;
+  ctx.pre_state = &pre_state;
+  ctx.transient["d"] = &diff;
+  const PlanPtr p = PlanNode::Join(PlanNode::RelationRef("d", diff_schema),
+                                   PlanNode::Scan("r", StateTag::kPre),
+                                   Eq(Col("dk"), Col("k")));
+  EXPECT_DEATH(Evaluate(p, ctx), "table r has no index on \\(k\\)");
+  pre.EnsureIndex({1});
+  EXPECT_EQ(Evaluate(p, ctx).size(), 3u);  // rids 1, 5, 9
+}
+
 TEST_F(EvaluatorTest, IndexedRelationProbeCosts) {
-  Relation data(Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}));
-  for (int64_t i = 0; i < 10; ++i) data.Append({Value(i % 2), Value(i)});
-  IndexedRelation rel(data, &db_.stats());
+  // A pre-state table charges what a stored table does: 1 index lookup + 1
+  // read per returned row per probe, 1 read per row per scan.
+  Table& stored = db_.CreateTable(
+      "p", Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}), {"b"});
+  Relation data(stored.schema());
+  for (int64_t i = 0; i < 9; ++i) data.Append({Value(i % 2), Value(i)});
+  stored.BulkLoadUncounted(data);
+  // Row b = 9 was deleted this epoch, so the pre-state holds 10 rows.
+  Modification deleted;
+  deleted.kind = DiffType::kDelete;
+  deleted.pre = {Value(int64_t{1}), Value(int64_t{9})};
+  std::map<std::string, Table> tables =
+      MakePreStateTables(&db_, {{"p", {{0}}}});
+  const std::map<std::string, Table*> pre_state =
+      LoadPreState(db_, {{"p", {deleted}}}, &tables);
+  Table& rel = *pre_state.at("p");
   db_.stats().Reset();
-  EXPECT_EQ(rel.Probe({0}, {Value(int64_t{1})}).size(), 5u);
+  EXPECT_EQ(rel.LookupWhereEquals({0}, {Value(int64_t{1})}).size(), 5u);
   EXPECT_EQ(db_.stats().index_lookups, 1);
   EXPECT_EQ(db_.stats().tuple_reads, 5);
   db_.stats().Reset();
-  EXPECT_EQ(rel.ScanCounted().size(), 10u);
+  EXPECT_EQ(rel.ScanAll().size(), 10u);
   EXPECT_EQ(db_.stats().tuple_reads, 10);
 }
 

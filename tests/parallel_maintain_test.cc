@@ -7,6 +7,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -14,6 +15,8 @@
 #include "src/core/compose.h"
 #include "src/core/maintainer.h"
 #include "src/core/modification_log.h"
+#include "src/core/view_manager.h"
+#include "src/exec/compiler.h"
 #include "src/robust/fault_injection.h"
 #include "src/robust/status.h"
 #include "src/workload/bsma.h"
@@ -267,6 +270,75 @@ TEST(ParallelMaintainTest, MidEpochFaultRollsBackAtEveryThreadCount) {
     }
     testing::ExpectViewMatchesRecompute(&db, workload.ViewPlan("qs1"),
                                         "qs1", label);
+  }
+}
+
+// Pre-state reads in parallel. Without caches the BSMA views' scripts read
+// pre-state tables; refreshing the views concurrently, running each script
+// over the rule DAG, or both must charge each view exactly what a
+// sequential refresh charges and keep every view equal to its
+// recomputation. Under ASan this also catches a pre-state table freed
+// before the per-view arena holding its charges publishes.
+TEST(ParallelMaintainTest, PreStateViewsMatchSequential) {
+  BsmaConfig config;
+  config.users = 200;
+  CompilerOptions options;
+  options.use_caches = false;
+  using Rounds = std::vector<std::map<std::string, MaintainResult>>;
+  const auto run = [&](int threads, int script_threads) {
+    const std::string label = "threads=" + std::to_string(threads) +
+                              " script_threads=" +
+                              std::to_string(script_threads);
+    Database db;
+    BsmaWorkload workload(&db, config);
+    ViewManager vm(&db);
+    bool reads_pre_state = false;
+    for (const std::string& view : BsmaWorkload::ViewNames()) {
+      vm.DefineView(view, workload.ViewPlan(view), options);
+      const auto program = exec::CompileProgram(vm.GetView(view).view(), db);
+      EXPECT_TRUE(program.ok()) << view;
+      reads_pre_state |= program.ok() && !program.value()->pre_state.empty();
+    }
+    EXPECT_TRUE(reads_pre_state);
+    Rounds rounds;
+    for (int round = 0; round < 3; ++round) {
+      workload.ApplyUserUpdates(&vm.logger(), 30);
+      RefreshReport report;
+      const Status status = vm.TryRefresh(
+          RefreshOptions{.threads = threads,
+                         .script_threads = script_threads,
+                         .degrade = DegradePolicy::kFailFast},
+          &report);
+      EXPECT_TRUE(status.ok()) << label << ": " << status.ToString();
+      rounds.push_back(report.results);
+      for (const std::string& view : BsmaWorkload::ViewNames()) {
+        testing::ExpectViewMatchesRecompute(&db, workload.ViewPlan(view), view,
+                                            view + " " + label);
+      }
+    }
+    return rounds;
+  };
+  const Rounds baseline = run(1, 1);
+  for (const auto& [threads, script_threads] :
+       std::vector<std::pair<int, int>>{{4, 1}, {1, 4}, {4, 4}}) {
+    const Rounds rounds = run(threads, script_threads);
+    ASSERT_EQ(rounds.size(), baseline.size());
+    for (size_t round = 0; round < rounds.size(); ++round) {
+      ASSERT_EQ(rounds[round].size(), baseline[round].size());
+      for (const auto& [view, want] : baseline[round]) {
+        const MaintainResult& got = rounds[round].at(view);
+        const std::string label = view + " round " + std::to_string(round) +
+                                  " threads=" + std::to_string(threads) +
+                                  " script_threads=" +
+                                  std::to_string(script_threads);
+        ExpectStatsEq(want.diff_computation.accesses,
+                      got.diff_computation.accesses, label);
+        ExpectStatsEq(want.cache_update.accesses, got.cache_update.accesses,
+                      label);
+        ExpectStatsEq(want.view_update.accesses, got.view_update.accesses,
+                      label);
+      }
+    }
   }
 }
 

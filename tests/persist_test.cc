@@ -38,8 +38,9 @@ using persist::WalRecordType;
 using persist::WalSegmentInfo;
 using persist::WriteSnapshot;
 
+// A path under this process's scratch directory.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "idivm_persist_" + name;
+  return ::idivm::testing::Scratch().Path(name);
 }
 
 // A fresh (emptied) directory for a WAL: SegmentedWal::Open resumes any

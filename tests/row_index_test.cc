@@ -1,5 +1,5 @@
-// Unit tests for RowIndex, the flat hash index behind stored tables,
-// pre-state relations and hash joins: a key's rows come back in insertion
+// Unit tests for RowIndex, the flat hash index behind tables (stored and
+// pre-state) and hash joins: a key's rows come back in insertion
 // order (through regrowth and re-insertion), and keys that collide never
 // match each other.
 

@@ -8,7 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -39,12 +39,11 @@ using ::idivm::testing::ExpectViewMatchesRecompute;
 using ::idivm::testing::LoadRunningExample;
 using ::idivm::testing::RunningExampleSpjPlan;
 
-// A fresh (emptied) scratch directory under the test temp root.
+// An empty directory under this process's scratch (repeats reuse it).
 std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "idivm_walset_" + name;
-  const int rc = std::system(("rm -rf '" + dir + "'").c_str());
-  EXPECT_EQ(rc, 0);
-  ::mkdir(dir.c_str(), 0755);
+  const std::string dir = ::idivm::testing::Scratch().Path(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
   return dir;
 }
 
